@@ -188,6 +188,8 @@ def cmd_dephase(args):
 
 
 def cmd_friedrichs(args):
+    if args.n_times < 1:
+        raise ValueError("--n-times must be at least 1")
     seed = _seed(args)
     model = friedrichs.FriedrichsModel(omega1=args.omega1, lam=args.lam)
     t = np.linspace(0.0, args.t_max, args.n_times)

@@ -5,6 +5,15 @@ the Lambda-trace Lyapunov functional, and biorthogonal trace/energy checks.
 
 Conventions: hbar = 1, continuum on [0, omega_max], default form factor
 g(omega) = exp(-omega/2).
+
+The two survival routes share no numerics and neither builds an O(N^2) or
+O(N*M) array.  The oracle finds the exact spectrum of the N-mode
+discretization, an arrowhead matrix, from its secular equation by a
+safeguarded rational iteration (Gu & Eisenstat 1995), in O(N) memory and
+O(N^2) time per sweep.  The quadrature sums the spectral density on an
+evenly spaced omega grid; for an evenly spaced t grid, which it requires,
+that sum is one chirp-z transform (Rabiner, Schafer & Rader 1969) done as a
+Bluestein FFT convolution in O(n_points + len(t)) memory.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 
 def _default_g(w):
@@ -142,32 +150,169 @@ def find_pole(model: FriedrichsModel, tol: float = 1e-12,
 # survival probability, two routes
 # ---------------------------------------------------------------------------
 
+_EPS = np.finfo(float).eps
+# elements in one (rows x columns) work array of the chunked sums: 512 KiB of
+# float64, small enough to stay in cache
+_BLOCK = 1 << 16
+_SECULAR_MAX_ITER = 64
+
+
+def _rows(n_cols: int) -> int:
+    """Rows per chunk: a multiple of 16, so BLAS row blocking, and with it
+    every matrix-vector result, does not depend on the chunking."""
+    return 16 * max(1, _BLOCK // (16 * max(n_cols, 1)))
+
+
+def _mode_grid(model: FriedrichsModel, n_modes: int):
+    """Midpoint omega grid of the discretized continuum and its couplings."""
+    if n_modes < 1:
+        raise ValueError("n_modes must be at least 1")
+    dw = model.omega_max / n_modes
+    wgrid = (np.arange(n_modes) + 0.5) * dw
+    return wgrid, model.lam * np.asarray(model.g(wgrid)) * np.sqrt(dw)
+
+
 def discretize(model: FriedrichsModel, n_modes: int = 2000):
     """(N+1)x(N+1) real symmetric Hamiltonian on a midpoint omega grid."""
-    w_max = model.omega_max
-    dw = w_max / n_modes
-    wgrid = (np.arange(n_modes) + 0.5) * dw
-    h = np.zeros((n_modes + 1, n_modes + 1))
-    h[0, 0] = model.omega1
-    h[np.arange(1, n_modes + 1), np.arange(1, n_modes + 1)] = wgrid
-    coup = model.lam * np.asarray(model.g(wgrid)) * np.sqrt(dw)
+    wgrid, coup = _mode_grid(model, n_modes)
+    h = np.diag(np.concatenate(([model.omega1], wgrid)))
     h[0, 1:] = coup
     h[1:, 0] = coup
     return h, wgrid
 
 
+def _secular_sums(d, z2, origin, y, sign, j):
+    """Sums over the poles d_i of q = z2_i/(l - d_i) and p = q/(l - d_i) at
+    l = origin + sign*y, one row per root j; poles i < j lie left of root j.
+
+    l - d_i is formed as (origin - d_i) + sign*y, which keeps full relative
+    accuracy for the pole the root sits next to.  Returns sum q, sum |q|,
+    and the sums of p over the left and over the right poles.
+    """
+    out = np.empty((4, y.size))
+    cols = np.arange(d.size)
+    rows = _rows(d.size)
+    for s in range(0, y.size, rows):
+        r = slice(s, s + rows)
+        diff = np.subtract.outer(origin[r], d)
+        diff += (sign[r] * y[r])[:, None]
+        q = z2 / diff
+        p = np.divide(q, diff, out=diff)
+        left = cols < j[r, None]
+        out[0, r] = q.sum(1)
+        out[1, r] = 2.0 * q.sum(1, where=left) - out[0, r]
+        out[2, r] = p.sum(1, where=left)
+        out[3, r] = p.sum(1, where=~left)
+    return out
+
+
+def _arrowhead_spectrum(model: FriedrichsModel, n_modes: int = 2000):
+    """Eigenvalues and weights |<1|l>|^2 of discretize(model, n_modes)[0],
+    without forming the matrix.
+
+    The Hamiltonian is an arrowhead [[omega1, c^T], [c, diag(w)]]; its
+    eigenvalues are the roots of the secular function
+        F(l) = l - omega1 - sum_k c_k^2 / (l - w_k),
+    which increases from -inf to +inf between consecutive poles, so one root
+    lies below w_0, one in each gap and one above w_{N-1}.  The eigenvector
+    is (1, c_k/(l - w_k)), so the weight of root l is 1/F'(l).
+
+    Couplings below LAPACK's deflation tolerance, 8 eps times the size of H,
+    are dropped: such a mode is an eigenvector by itself, with eigenvalue w_k
+    and weight 0.  This is what keeps roots that round onto their pole (tiny
+    g(omega)^2 at large omega) from dividing by l - w_k = 0.
+    Each remaining root is found by a safeguarded two-pole rational
+    iteration (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) and is
+    stored as an offset y from the pole it lies nearer to, so l - w_k keeps
+    full relative accuracy even where the root rounds onto the pole.  Work
+    is O(N^2) per sweep and memory O(N) plus one chunk of the sums.
+    """
+    w, c = _mode_grid(model, n_modes)
+    a = float(model.omega1)
+    c_norm = float(np.linalg.norm(c))
+    keep = np.abs(c) > 8.0 * _EPS * max(abs(a), float(w[-1]), c_norm)
+    d, z2 = w[keep], c[keep] ** 2
+    n = d.size
+    if n == 0:
+        return np.append(w, a), np.append(np.zeros(w.size), 1.0)
+
+    # Root j lies in (d[j-1], d[j]), with d[-1] = -inf and d[n] = +inf.
+    # Interior roots: far pole = the other end of the gap.  End roots get a
+    # bound from Weyl's inequality and a virtual far pole at twice that
+    # bound.  Everything below works in the mirrored frame y = |l - origin|,
+    # where the model G(y) = sign*F increases from -inf at the origin pole.
+    j = np.arange(n + 1)
+    gap = np.empty(n + 1)
+    gap[1:n] = np.diff(d)
+    gap[0] = 2.0 * (abs(a - d[0]) + 2.0 * c_norm)
+    gap[n] = 2.0 * (abs(a - d[-1]) + 2.0 * c_norm)
+    sign = np.where(j == 0, -1.0, 1.0)
+    origin = np.where(j == 0, d[0], d[np.maximum(j - 1, 0)])
+    y = 0.5 * gap
+    lo, hi = np.zeros(n + 1), y.copy()
+    sums = _secular_sums(d, z2, origin, y, sign, j)
+    # a root right of the gap midpoint is nearer the right pole
+    f = (origin - a) + sign * y - sums[0]
+    flip = (j > 0) & (j < n) & (f < 0)
+    origin[flip], sign[flip] = d[j[flip]], -1.0
+
+    roots = np.empty(n + 1)
+    root_wt = np.empty(n + 1)
+    act = np.arange(n + 1)
+    for _ in range(_SECULAR_MAX_ITER):
+        o, s, ya = origin[act], sign[act], y[act]
+        q_sum, q_abs, p_left, p_right = sums
+        g = s * ((o - a) + s * ya - q_sum)
+        done = (np.abs(g) <= 8.0 * _EPS * (np.abs(o - a) + ya + q_abs)) \
+            | (hi[act] - lo[act] <= 4.0 * _EPS * hi[act])
+        roots[act[done]] = o[done] + s[done] * ya[done]
+        root_wt[act[done]] = 1.0 / (1.0 + p_left[done] + p_right[done])
+        keep_on = ~done
+        act, g, ya, s = act[keep_on], g[keep_on], ya[keep_on], s[keep_on]
+        if act.size == 0:
+            break
+        p_left, p_right = p_left[keep_on], p_right[keep_on]
+        hi[act] = np.where(g > 0, ya, hi[act])
+        lo[act] = np.where(g > 0, lo[act], ya)
+        # two-pole model kappa - w_near/y + w_far/(far - y) matching G and G'
+        # at ya; the poles on each side fold into that side's pole, and the
+        # linear term of F into the far one.  Its root in (0, far) solves a
+        # quadratic, taken in the form that does not cancel.
+        far = gap[act]
+        w_near = ya ** 2 * np.where(s > 0, p_left, p_right)
+        w_far = (far - ya) ** 2 * (1.0 + np.where(s > 0, p_right, p_left))
+        kappa = g + w_near / ya - w_far / (far - ya)
+        b = kappa * far + w_near + w_far
+        disc = np.sqrt(np.maximum(b * b - 4.0 * kappa * w_near * far, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_new = np.where(b > 0, 2.0 * w_near * far / (b + disc),
+                             (disc - b) / (-2.0 * kappa))
+        inside = (y_new > lo[act]) & (y_new < hi[act])
+        y[act] = np.where(inside, y_new, 0.5 * (lo[act] + hi[act]))
+        sums = _secular_sums(d, z2, origin[act], y[act], sign[act], j[act])
+    else:
+        raise RuntimeError("secular equation did not converge")
+    return (np.concatenate((w[~keep], roots)),
+            np.concatenate((np.zeros(w.size - n), root_wt)))
+
+
 def survival_amplitude_oracle(model: FriedrichsModel, t_grid,
                               n_modes: int = 2000):
-    """A(t) = <1|e^{-iHt}|1> by dense diagonalization of the discretization."""
-    h, _ = discretize(model, n_modes)
-    evals, evecs = np.linalg.eigh(h)
-    w0 = np.abs(evecs[0, :]) ** 2
-    t_grid = np.asarray(t_grid, dtype=float)
-    return np.exp(-1j * np.outer(t_grid, evals)) @ w0
+    """A(t) = <1|e^{-iHt}|1> = sum_l |<1|l>|^2 e^{-ilt} over the exact
+    spectrum of the discretized H (_arrowhead_spectrum), in O(N) memory."""
+    evals, weights = _arrowhead_spectrum(model, n_modes)
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
+    out = np.empty(t_grid.size, dtype=complex)
+    rows = _rows(evals.size)
+    for s in range(0, t_grid.size, rows):
+        out[s:s + rows] = np.exp(-1j * np.outer(t_grid[s:s + rows], evals)) @ weights
+    return out
 
 
 def spectral_density(model: FriedrichsModel, n_points: int = 40001):
     """psi(omega) = lam^2 g^2 / |alpha(omega+i0)|^2 on a fine midpoint grid."""
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
     w_max = model.omega_max
     dw = w_max / n_points
     wgrid = (np.arange(n_points) + 0.5) * dw
@@ -176,26 +321,67 @@ def spectral_density(model: FriedrichsModel, n_points: int = 40001):
     wts = 0.5 * w_max * wt
     g2u = model.g2(u)
     g2 = model.g2(wgrid)
-    # PV via subtraction, vectorized over the evaluation grid
-    pv = ((g2u[None, :] - g2[:, None]) / (wgrid[:, None] - u[None, :])) @ wts \
-        + g2 * np.log(wgrid / (w_max - wgrid))
+    # PV via subtraction, vectorized over row chunks of the evaluation grid
+    pv = np.empty(n_points)
+    rows = _rows(u.size)
+    for s in range(0, n_points, rows):
+        ws, g2s = wgrid[s:s + rows], g2[s:s + rows]
+        pv[s:s + rows] = ((g2u[None, :] - g2s[:, None]) / (ws[:, None] - u[None, :])) @ wts
+    pv += g2 * np.log(wgrid / (w_max - wgrid))
     a_plus = wgrid - model.omega1 - model.lam ** 2 * pv \
         + 1j * np.pi * model.lam ** 2 * g2
     psi = model.lam ** 2 * g2 / np.abs(a_plus) ** 2
     return wgrid, psi, dw
 
 
+def _turns(b: float, n):
+    """frac(b*n) for integers 0 <= n < 2**52, to a few ulps of 1.
+
+    b is split into two 26-bit halves and n into two 26-bit limbs, so each
+    partial product is exact and its fraction is taken before any rounding.
+    """
+    b_hi = 134217729.0 * b
+    b_hi = b_hi - (b_hi - b)
+    b_lo = b - b_hi
+    n = np.asarray(n, dtype=np.int64)
+    n_hi = (n >> 26).astype(float) * 67108864.0
+    n_lo = (n & 67108863).astype(float)
+    parts = (b_hi * n_hi, b_hi * n_lo, b_lo * n_hi, b_lo * n_lo)
+    return sum(x - np.floor(x) for x in parts)
+
+
 def survival_amplitude_quadrature(model: FriedrichsModel, t_grid,
                                   n_points: int = 40001):
-    """A(t) = int psi(omega) e^{-i omega t} domega."""
+    """A(t) = int psi(omega) e^{-i omega t} domega as the midpoint sum over
+    the spectral_density grid, for an evenly spaced t_grid.
+
+    With omega_k = (k + 1/2) dw and t_m = t_0 + m dt the sum is a chirp-z
+    transform: k m = (k^2 + m^2 - (m - k)^2)/2 turns it into one Bluestein
+    convolution done with FFTs, in O(n_points + len(t_grid)) memory.  Chirp
+    phases are reduced mod 2 pi exactly (_turns), so they stay accurate
+    however large k^2 dw dt grows.  An unevenly spaced t_grid raises
+    ValueError.
+    """
     wgrid, psi, dw = spectral_density(model, n_points)
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty(t_grid.size, dtype=complex)
-    chunk = 256
-    for s in range(0, t_grid.size, chunk):
-        ts = t_grid[s:s + chunk]
-        out[s:s + chunk] = np.exp(-1j * np.outer(ts, wgrid)) @ psi * dw
-    return out
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
+    n_t = t_grid.size
+    if n_t == 0:
+        return np.empty(0, dtype=complex)
+    m = np.arange(n_t)
+    dt = (t_grid[-1] - t_grid[0]) / (n_t - 1) if n_t > 1 else 0.0
+    if np.abs(t_grid - (t_grid[0] + m * dt)).max() > 64 * _EPS * np.abs(t_grid).max():
+        raise ValueError("t_grid must be evenly spaced")
+    # omega_k t_m / (2 pi) = u (2k + 1) + b (k^2 + m^2 - (m - k)^2 + m)
+    u = dw * t_grid[0] / (4.0 * np.pi)
+    b = dw * dt / (4.0 * np.pi)
+    k = np.arange(n_points)
+    x = psi * dw * np.exp(-2j * np.pi * (_turns(u, 2 * k + 1) + _turns(b, k * k)))
+    size = 1 << (n_points + n_t - 2).bit_length()
+    lag = np.arange(1 - n_points, n_t)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[lag] = np.exp(2j * np.pi * _turns(b, lag * lag))
+    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(kernel))[:n_t]
+    return conv * np.exp(-2j * np.pi * _turns(b, m * (m + 1)))
 
 
 def pole_approximation(pole: ResonancePole, t):
@@ -210,7 +396,8 @@ def recurrence_time(model: FriedrichsModel, n_modes: int = 2000) -> float:
 
 def survival_probability(model: FriedrichsModel, t_grid,
                          n_modes: int = 2000, n_points: int = 40001):
-    """P(t) by dense diagonalization and by spectral-density quadrature.
+    """P(t) by the exact spectrum of the discretized H (the oracle) and by
+    spectral-density quadrature, for an evenly spaced t_grid.
 
     Times beyond half the discretization recurrence horizon are flagged:
     there the oracle is contaminated by revivals.

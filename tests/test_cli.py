@@ -107,3 +107,11 @@ def test_config_file_fills_defaults(tmp_path):
     bad.write_text("unknown_key=1\n")
     assert run(["--config", str(bad), "renyi-evolve", "--t", "3",
                 "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--n-modes", "--n-times"])
+def test_friedrichs_rejects_empty_sizes(tmp_path, capsys, flag):
+    out = tmp_path / "d"
+    assert run(["friedrichs", flag, "0", "--out", str(out)]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()

@@ -1,10 +1,12 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from arrowlab.friedrichs import (FriedrichsModel, alpha, boundary_alpha,
-                                 damping_matrix, discretize, find_pole,
-                                 lambda_lyapunov, mixed_state_decay,
+from arrowlab.friedrichs import (FriedrichsModel, _arrowhead_spectrum, alpha,
+                                 boundary_alpha, damping_matrix, discretize,
+                                 find_pole, lambda_lyapunov, mixed_state_decay,
                                  pole_approximation, pole_to_json,
                                  principal_value_integral, recurrence_time,
                                  spectral_density, survival_amplitude_oracle,
@@ -103,6 +105,65 @@ def test_discretization_shape():
     assert h.shape == (101, 101)
     assert np.allclose(h, h.T)
     assert w.size == 100
+
+
+def _decimal_weight(h, lam0):
+    """|<1|l>|^2 = 1/F'(l) at the secular root nearest lam0, by Newton's
+    method in 50-digit decimal arithmetic on the entries of h."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(h[0, 0])
+        poles = [(Decimal(c) ** 2, Decimal(w)) for c, w in zip(h[0, 1:], np.diag(h)[1:])]
+        lam = Decimal(lam0)
+        for _ in range(3):  # lam0 is good to ~1e-16, so 3 steps reach 1e-50
+            f = lam - a - sum(z / (lam - w) for z, w in poles)
+            fp = 1 + sum(z / (lam - w) ** 2 for z, w in poles)
+            lam -= f / fp
+        return float(1 / (1 + sum(z / (lam - w) ** 2 for z, w in poles)))
+
+
+@pytest.mark.parametrize("n", (50, 400))
+@pytest.mark.parametrize("omega1", (0.1, 1.0, 5.0, 100.0))
+@pytest.mark.parametrize("lam", (1e-3, 0.05, 0.5, 2.0))
+def test_arrowhead_spectrum_matches_dense(lam, omega1, n):
+    model = FriedrichsModel(omega1=omega1, lam=lam)
+    h, _ = discretize(model, n)
+    ev, vec = np.linalg.eigh(h)
+    evals, weights = _arrowhead_spectrum(model, n)
+    order = np.argsort(evals, kind="stable")
+    evals, weights = evals[order], weights[order]
+    assert np.all(np.isfinite(weights))
+    assert np.abs(evals - ev).max() <= 1e-12 * max(1.0, model.omega_max)
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    # eigh's eigenvectors are only good to eps ||H|| / gap (Davis-Kahan): at
+    # n=50 omega1 sits on a grid pole and its weights there are off by 6e-12.
+    # Where that bound passes 1e-13 the reference is 50-digit arithmetic;
+    # deflated modes (weight 0 on a pole) have no root to refine.
+    with np.errstate(divide="ignore"):
+        gap = np.minimum(np.diff(ev, prepend=-np.inf), np.diff(ev, append=np.inf))
+        sharp = np.finfo(float).eps * np.linalg.norm(h, 2) / gap < 1e-13
+    assert np.abs(weights - vec[0] ** 2)[sharp].max() <= 1e-12
+    for i in np.flatnonzero(~sharp & (weights > 0)):
+        assert abs(weights[i] - _decimal_weight(h, evals[i])) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [np.linspace(3.0, 700.0, 57), [-1e-4, 1e-4], [123.4]])
+def test_quadrature_matches_direct_sum(t):
+    wgrid, psi, dw = spectral_density(MODEL, 2001)
+    direct = [np.sum(psi * np.exp(-1j * wgrid * s)) * dw for s in t]
+    chirp = survival_amplitude_quadrature(MODEL, t, n_points=2001)
+    assert np.abs(chirp - direct).max() < 1e-12
+
+
+def test_invalid_sizes_and_grids_rejected():
+    with pytest.raises(ValueError):
+        survival_amplitude_quadrature(MODEL, [0.0, 1.0, 3.0], n_points=101)
+    with pytest.raises(ValueError):
+        survival_amplitude_oracle(MODEL, [0.0], n_modes=0)
+    with pytest.raises(ValueError):
+        discretize(MODEL, 0)
+    with pytest.raises(ValueError):
+        spectral_density(MODEL, 0)
 
 
 def test_survival_two_paths_and_regimes():

@@ -143,7 +143,6 @@ def cmd_mixing_report(args):
                   (np.arange(n) + 0.5) / n]
     else:
         d = grids.Density(args.beta, rng.random((n, n)) + 0.2)
-        # coarse x-slab indicator: stays cheap under common-grid refinement
         probe = np.zeros((args.beta, 1))
         probe[0, 0] = 1.0
         probes = [probe]
@@ -351,6 +350,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="arrowlab")
     p.add_argument("--config", help="optional key=value config file")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = sub.choices
 
     def common(sp, out_required=True):
         sp.add_argument("--seed", type=int, default=0)
@@ -439,6 +439,26 @@ def build_parser() -> _Parser:
     return p
 
 
+def _apply_config(parser: _Parser, command: str, path: str):
+    """Make the config file's values the defaults of the subcommand's options.
+
+    Keys are option dests (`lam`, `n_modes`); command-line flags still win
+    because the caller parses again.  Raises ValueError on a bad file, a key
+    the subcommand does not declare, or a value outside an option's choices.
+    """
+    sub = parser.commands[command]
+    declared = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    cfg = _load_config(path)
+    for key, val in cfg.items():
+        action = declared.get(key)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if action.choices is not None and val not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of {', '.join(action.choices)}")
+    # argparse converts string defaults with the option's type
+    sub.set_defaults(**cfg)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -446,21 +466,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         try:
-            cfg = _load_config(args.config)
+            _apply_config(parser, args.command, args.config)
         except (OSError, ValueError) as exc:
             print(f"arrowlab: bad config: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        known = set(vars(args))
-        given = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                 for tok in argv if tok.startswith("--")}
-        for k, v in cfg.items():
-            if k not in known:
-                print(f"arrowlab: unknown config key {k!r}", file=sys.stderr)
-                return EXIT_USAGE
-            if k in given:
-                continue  # command-line flags win
-            cur = getattr(args, k)
-            setattr(args, k, type(cur)(v) if cur is not None else v)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except NumericalFailure as exc:

@@ -5,6 +5,14 @@ The phase space is [0,1) (1D) or the unit square (2D), total volume 1.
 Densities store per-cell values; measures multiply by cell volume.  2D grids
 may be anisotropic (different refinement level per axis) because the baker
 dynamics trades x-resolution for y-resolution one level per step.
+
+Two grids of one base are nested axis by axis, so a linear pairing such as
+integral(f*g) is taken on the coarser size of each axis (`on_coarse_grid`):
+the finer operand is block-averaged there, which is exact because the other
+factor is constant on every block.  Arrays are replicated onto the common
+refinement (`on_common_grid`) only where a value per fine cell is needed:
+nonlinear functionals (conditional entropy), the disjointness check of a
+`Partition`, and the output grid of `coarse_grain`.
 """
 
 from __future__ import annotations
@@ -37,8 +45,32 @@ def _check_level(n: int, base: int) -> int:
     return k
 
 
+class _BetaGrid:
+    """Grid geometry shared by `Density` and `GridSet`.
+
+    Subclasses provide `base`, the per-cell array `_cells` and `_with_cells`,
+    which wraps a replacement array of the same kind.
+    """
+
+    @property
+    def dims(self) -> int:
+        return self._cells.ndim
+
+    @property
+    def levels(self) -> tuple:
+        return tuple(_check_level(n, self.base) for n in self._cells.shape)
+
+    @property
+    def cell_volume(self) -> float:
+        return 1.0 / self._cells.size
+
+    def refined(self, axis: int = 0, extra_levels: int = 1):
+        """Exactly refine the grid along one axis (cells replicated)."""
+        return self._with_cells(np.repeat(self._cells, self.base ** extra_levels, axis=axis))
+
+
 @dataclass(frozen=True)
-class Density:
+class Density(_BetaGrid):
     """Non-negative piecewise-constant probability density on a beta-adic grid.
 
     values has shape (base**kx,) in 1D or (base**kx, base**ky) in 2D.
@@ -54,10 +86,11 @@ class Density:
         v = np.asarray(self.values, dtype=float)
         if v.ndim not in (1, 2):
             raise ValueError("values must be 1D or 2D")
-        if np.any(v < 0):
-            raise ValueError("density values must be non-negative")
         for n in v.shape:
             _check_level(n, self.base)
+        # NaN fails both comparisons; -inf and negatives fail the first, +inf the second
+        if not (v.min() >= 0 and v.max() < np.inf):
+            raise ValueError("density values must be finite and non-negative")
         if self.normalize:
             total = v.mean()  # sum(v)*cell_volume, cell_volume = 1/size
             if total <= 0:
@@ -67,12 +100,11 @@ class Density:
         object.__setattr__(self, "values", v)
 
     @property
-    def dims(self) -> int:
-        return self.values.ndim
+    def _cells(self) -> np.ndarray:
+        return self.values
 
-    @property
-    def levels(self) -> tuple:
-        return tuple(_check_level(n, self.base) for n in self.values.shape)
+    def _with_cells(self, v: np.ndarray) -> "Density":
+        return Density(self.base, v, normalize=False)
 
     @property
     def level(self) -> int:
@@ -80,15 +112,6 @@ class Density:
         if len(set(ks)) != 1:
             raise ValueError(f"anisotropic grid {ks} has no single level")
         return ks[0]
-
-    @property
-    def cell_volume(self) -> float:
-        return 1.0 / self.values.size
-
-    def refined(self, axis: int = 0, extra_levels: int = 1) -> "Density":
-        """Exactly refine the grid along one axis (values replicated)."""
-        v = np.repeat(self.values, self.base ** extra_levels, axis=axis)
-        return Density(self.base, v, normalize=False)
 
     def marginal_x(self) -> "Density":
         """Integrate out y; exact for 2D grid densities."""
@@ -103,7 +126,7 @@ def uniform_density(base: int, level: int, dims: int = 1) -> Density:
 
 
 @dataclass(frozen=True)
-class GridSet:
+class GridSet(_BetaGrid):
     """Boolean membership on a beta-adic grid; pairs with a Density grid."""
 
     base: int
@@ -117,23 +140,15 @@ class GridSet:
         object.__setattr__(self, "member", m)
 
     @property
-    def dims(self) -> int:
-        return self.member.ndim
+    def _cells(self) -> np.ndarray:
+        return self.member
 
-    @property
-    def levels(self) -> tuple:
-        return tuple(_check_level(n, self.base) for n in self.member.shape)
-
-    @property
-    def cell_volume(self) -> float:
-        return 1.0 / self.member.size
+    def _with_cells(self, m: np.ndarray) -> "GridSet":
+        return GridSet(self.base, m)
 
     def volume(self) -> float:
         """Lebesgue measure of the set."""
         return self.member.mean()
-
-    def refined(self, axis: int = 0, extra_levels: int = 1) -> "GridSet":
-        return GridSet(self.base, np.repeat(self.member, self.base ** extra_levels, axis=axis))
 
     def complement(self) -> "GridSet":
         return GridSet(self.base, ~self.member)
@@ -146,31 +161,59 @@ def interval_set(base: int, level: int, lo_cell: int, hi_cell: int) -> GridSet:
     return GridSet(base, m)
 
 
-def _common_shape(a_shape, b_shape, base):
-    """Refinement factors taking each array to the least common grid."""
-    facs_a, facs_b = [], []
-    for na, nb in zip(a_shape, b_shape):
-        n = max(na, nb)
-        if n % na or n % nb:
+def _nested(a: np.ndarray, b: np.ndarray):
+    """Raise unless the two cell arrays lie on nested grids."""
+    if a.ndim != b.ndim:
+        raise GridMismatchError("dimension mismatch")
+    for na, nb in zip(a.shape, b.shape):
+        if min(na, nb) < 1 or max(na, nb) % min(na, nb):
             raise GridMismatchError(f"incompatible grid sizes {na} vs {nb}")
-        facs_a.append(n // na)
-        facs_b.append(n // nb)
-    return facs_a, facs_b
 
 
-def _refine_to(arr: np.ndarray, facs) -> np.ndarray:
-    for ax, f in enumerate(facs):
-        if f > 1:
-            arr = np.repeat(arr, f, axis=ax)
+def _refine_to(arr: np.ndarray, shape) -> np.ndarray:
+    """Replicate each cell onto the finer nested grid `shape`."""
+    for ax, (n, m) in enumerate(zip(arr.shape, shape)):
+        if m > n:
+            arr = np.repeat(arr, m // n, axis=ax)
     return arr
 
 
+def _reduce_to(arr: np.ndarray, shape) -> np.ndarray:
+    """Block means of `arr` on the coarser nested grid `shape`.
+
+    Returns `arr` itself when the grids agree; otherwise one reshape-mean,
+    which reads `arr` in place and allocates only the result.
+    """
+    if arr.shape == shape:
+        return arr
+    blocks = [k for n, m in zip(arr.shape, shape) for k in (m, n // m)]
+    return arr.reshape(blocks).mean(axis=tuple(range(1, 2 * arr.ndim, 2)))
+
+
 def on_common_grid(a: np.ndarray, b: np.ndarray, base: int):
-    """Replicate both arrays onto their least common refinement."""
-    if a.ndim != b.ndim:
-        raise GridMismatchError("dimension mismatch")
-    fa, fb = _common_shape(a.shape, b.shape, base)
-    return _refine_to(a, fa), _refine_to(b, fb)
+    """Replicate both arrays onto their least common refinement.
+
+    Only for what needs a value per fine cell: a nonlinear functional of
+    both arrays, a cell-by-cell set check, or a result that lives on the
+    finer grid.  Linear pairings use `on_coarse_grid`, which allocates
+    nothing of the fine grid's size.
+    """
+    _nested(a, b)
+    shape = tuple(map(max, a.shape, b.shape))
+    return _refine_to(a, shape), _refine_to(b, shape)
+
+
+def on_coarse_grid(a: np.ndarray, b: np.ndarray):
+    """Reduce both arrays onto the coarser grid of each axis by block means.
+
+    mean(a' * b') equals the integral of a*b on the common refinement: on each
+    axis one factor is constant over the other's blocks, and 2D blocks are
+    products of per-axis blocks.  An operand that is the coarser one on every
+    axis is returned as is.
+    """
+    _nested(a, b)
+    shape = tuple(map(min, a.shape, b.shape))
+    return _reduce_to(a, shape), _reduce_to(b, shape)
 
 
 def l1_norm(d: Density) -> float:
@@ -182,8 +225,8 @@ def measure_of_set(d: Density, a: GridSet) -> float:
     """Probability mass the density assigns to the set."""
     if d.base != a.base:
         raise GridMismatchError("base mismatch")
-    dv, am = on_common_grid(d.values, a.member, d.base)
-    return float(np.where(am, dv, 0.0).mean())
+    dv, am = on_coarse_grid(d.values, a.member)
+    return float((dv * am).mean())
 
 
 @dataclass(frozen=True)
@@ -236,12 +279,12 @@ class Partition:
             raise TrivialPartitionError("partition needs at least two cells")
         base = cells[0].base
         ms = [c.member for c in cells]
-        ref = [on_common_grid(m, ms[0], base)[0] for m in ms]
-        count = np.zeros_like(ref[0], dtype=int)
-        for m in ref:
+        # count cover on the least common grid of all the cells
+        count = np.zeros(tuple(map(max, *(m.shape for m in ms))), dtype=int)
+        for m in ms:
             if not m.any():
                 raise TrivialPartitionError("partition cell has zero measure")
-            count += m.astype(int)
+            count += on_common_grid(m, count, base)[0]
         if np.any(count != 1):
             raise ValueError("partition cells must be disjoint and cover the space")
         object.__setattr__(self, "cells", cells)
@@ -270,28 +313,33 @@ def square_partition(base: int, level: int, dims: int = 1) -> Partition:
 
 
 def coarse_grain(d: Density, p: Partition) -> Density:
-    """Project the density onto its per-cell averages (idempotent)."""
-    shapes = {c.member.shape for c in p.cells} | {d.values.shape}
-    # everything onto the least common grid
-    out = None
-    dv = d.values
-    for c in p.cells:
-        dvv, mm = on_common_grid(dv, c.member, d.base)
-        if out is None:
-            out = np.zeros_like(dvv)
-        elif out.shape != dvv.shape:
-            out, _ = on_common_grid(out, dvv, d.base)
-        avg = dvv[mm].mean()
+    """Project the density onto its per-cell averages (idempotent).
+
+    The result lives on the least common grid of the density and the cells.
+    """
+    out = d.values
+    for c, avg in zip(p.cells, coarse_values(d, p)):
+        out, mm = on_common_grid(out, c.member, d.base)
         out = np.where(mm, avg, out)
     return Density(d.base, out, normalize=False)
 
 
 def coarse_values(d: Density, p: Partition) -> np.ndarray:
-    """Per-partition-cell averages of the density."""
+    """Per-partition-cell averages of the density.
+
+    The density is reduced once per distinct cell grid, onto the coarser size
+    of each axis; a cell's mask is reduced there too (to the fraction of each
+    block it covers) where it is finer than the density.
+    """
+    reduced = {}
     vals = []
     for c in p.cells:
-        dvv, mm = on_common_grid(d.values, c.member, d.base)
-        vals.append(dvv[mm].mean())
+        mm = c.member
+        if mm.shape not in reduced:
+            reduced[mm.shape] = on_coarse_grid(d.values, mm)[0]
+        dv = reduced[mm.shape]
+        w = _reduce_to(mm, dv.shape)
+        vals.append((dv * w).sum() / w.sum())
     return np.array(vals)
 
 

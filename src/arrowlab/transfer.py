@@ -2,15 +2,17 @@
 exact set image/counterimage enumeration, and convergence-mode classification
 (Cesaro / weak / strong).
 
-All set operations are integer arithmetic on cell indices; there is no
-floating-point set geometry anywhere in this module.
+All set operations are exact rearrangements of cell arrays (reshapes,
+transposes, tiles); there is no floating-point set geometry anywhere in this
+module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import Density, GridSet, GridMismatchError, on_common_grid
+from .grids import Density, GridSet, GridMismatchError, on_coarse_grid
+from .grids import on_common_grid  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .maps import MapSpec
 
 
@@ -40,32 +42,43 @@ def fp_renyi(d: Density, base: int | None = None) -> Density:
     return Density(b, out / b, normalize=False)
 
 
+def _baker_cells(v: np.ndarray, b: int) -> np.ndarray:
+    """Cell array of the baker image: (nx, ny) -> (nx/b, b*ny).
+
+    Strip r of the x-axis (rows r*nx/b .. (r+1)*nx/b - 1) is squeezed into
+    the r-th block of the y-axis, a permutation of the cells.  Once x is
+    exhausted (nx == 1) the image is rho(b*y mod 1): the row tiled b times.
+    """
+    nx, ny = v.shape
+    if nx == 1:
+        return np.tile(v, (1, b))
+    return v.reshape(b, nx // b, ny).transpose(1, 0, 2).reshape(nx // b, b * ny)
+
+
+def _baker_cells_inverse(v: np.ndarray, b: int) -> np.ndarray:
+    """Inverse of `_baker_cells`: (nx, ny) -> (b*nx, ny/b); tiles x if ny == 1."""
+    nx, ny = v.shape
+    if ny == 1:
+        return np.tile(v, (b, 1))
+    return v.reshape(nx, b, ny // b).transpose(1, 0, 2).reshape(b * nx, ny // b)
+
+
 def fp_baker(d: Density, base: int | None = None) -> Density:
     """One baker transfer-operator step: exact cell rearrangement.
 
-    A density on an (kx, ky) grid maps onto the (kx-1, ky+1) grid with the
-    same number of equal-volume cells; values are carried over unchanged
-    (the map preserves Lebesgue measure), so every L^p norm is conserved
-    exactly.  The x-axis is refined first if kx < 1.
+    A density on an (kx, ky) grid with kx >= 1 maps onto the (kx-1, ky+1)
+    grid with the same number of equal-volume cells; values are carried over
+    unchanged (the map preserves Lebesgue measure), so every L^p norm is
+    conserved exactly.  With kx = 0 the density depends on y alone and the
+    step is rho(y) -> rho(b*y mod 1): the (0, ky) grid maps onto (0, ky+1)
+    with every value repeated b times, which again conserves every L^p norm.
     """
     if d.dims != 2:
         raise ValueError("fp_baker needs a 2D density")
     b = d.base if base is None else base
     if b != d.base:
         raise GridMismatchError("map base must match the grid base")
-    if d.levels[0] < 1:
-        d = d.refined(axis=0)
-    kx, ky = d.levels
-    nx, ny = d.values.shape
-    # cell (i, j) -> (i - r*b^(kx-1), j + r*b^ky) with r = i // b^(kx-1)
-    i = np.arange(nx)[:, None]
-    j = np.arange(ny)[None, :]
-    r = i // (nx // b)
-    new_i = i - r * (nx // b)
-    new_j = j + r * ny
-    out = np.zeros((nx // b, ny * b))
-    out[new_i, new_j] = d.values
-    return Density(b, out, normalize=False)
+    return Density(b, _baker_cells(d.values, b), normalize=False)
 
 
 def fp_step(spec: MapSpec, d: Density) -> Density:
@@ -88,23 +101,9 @@ def preimage_set(spec: MapSpec, a: GridSet) -> GridSet:
     """S^-1(A), exactly representable one level finer."""
     b = spec.base
     if spec.kind == "renyi":
-        n = a.member.size
         # level-(k+1) cell c maps onto level-k cell c mod b^k
-        img = np.arange(n * b) % n
-        return GridSet(b, a.member[img])
-    # baker: B^-1 maps (kx, ky) cells onto (kx+1, ky-1) cells; refine y first
-    # if needed so ky >= 1.
-    if a.levels[1] < 1:
-        a = a.refined(axis=1)
-    nx, ny = a.member.shape
-    out = np.zeros((nx * b, ny // b), dtype=bool)
-    i = np.arange(nx)[:, None]
-    j = np.arange(ny)[None, :]
-    s = j // (ny // b)
-    new_j = j - s * (ny // b)
-    new_i = i + s * nx
-    out[new_i, new_j] = a.member
-    return GridSet(b, out)
+        return GridSet(b, np.tile(a.member, b))
+    return GridSet(b, _baker_cells_inverse(a.member, b))
 
 
 def image_set(spec: MapSpec, a: GridSet) -> GridSet:
@@ -114,19 +113,9 @@ def image_set(spec: MapSpec, a: GridSet) -> GridSet:
         n = a.member.size
         if n == 1:
             return a
-        out = np.zeros(n // b, dtype=bool)
-        idx = np.arange(n) % (n // b)
-        np.logical_or.at(out, idx, a.member)
-        return GridSet(b, out)
-    if a.levels[0] < 1:
-        a = a.refined(axis=0)
-    nx, ny = a.member.shape
-    i = np.arange(nx)[:, None]
-    j = np.arange(ny)[None, :]
-    r = i // (nx // b)
-    out = np.zeros((nx // b, ny * b), dtype=bool)
-    out[i - r * (nx // b), j + r * ny] = a.member
-    return GridSet(b, out)
+        # level-k cell c maps onto level-(k-1) cell c mod b^(k-1)
+        return GridSet(b, a.member.reshape(b, n // b).any(axis=0))
+    return GridSet(b, _baker_cells(a.member, b))
 
 
 def image_measure(spec: MapSpec, a: GridSet, t: int) -> float:
@@ -150,8 +139,8 @@ def correlation(a: GridSet, b_set: GridSet, spec: MapSpec, t: int) -> float:
     pre = b_set
     for _ in range(t):
         pre = preimage_set(spec, pre)
-    am, pm = on_common_grid(a.member, pre.member, spec.base)
-    joint = float(np.logical_and(am, pm).mean())
+    am, pm = on_coarse_grid(a.member, pre.member)
+    joint = float((am * pm).mean())
     return joint - a.volume() * b_set.volume()
 
 
@@ -162,7 +151,7 @@ def correlation(a: GridSet, b_set: GridSet, spec: MapSpec, t: int) -> float:
 def weak_pairing(d: Density, g: np.ndarray) -> float:
     """(rho, g) = integral of rho*g; g given as cell values on a matching grid."""
     g = np.asarray(g, dtype=float)
-    dv, gv = on_common_grid(d.values, g, d.base)
+    dv, gv = on_coarse_grid(d.values, g)
     return float((dv * gv).mean())
 
 

@@ -109,6 +109,27 @@ def test_config_file_fills_defaults(tmp_path):
                 "--out", str(out)]) == 1
 
 
+def test_config_does_not_override_flags(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("lam=0.3\nn_modes=200\n")
+    out = tmp_path / "d"
+    assert run(["--config", str(cfg), "friedrichs", "--lambda", "0.05",
+                "--t-max", "10", "--n-times", "11", "--out", str(out)]) == 0
+    head = (out / "survival.csv").read_text().splitlines()
+    assert "# lam=0.05" in head
+    assert "# n_modes=200" in head
+
+
+@pytest.mark.parametrize("line", ["func=x", "command=boost", "density=bogus"])
+def test_config_rejects_undeclared_keys_and_values(tmp_path, capsys, line):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "d"
+    assert run(["--config", str(cfg), "renyi-evolve", "--out", str(out)]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--n-modes", "--n-times"])
 def test_friedrichs_rejects_empty_sizes(tmp_path, capsys, flag):
     out = tmp_path / "d"

@@ -29,6 +29,13 @@ def test_density_rejects_negative_and_bad_size():
         Density(2, np.ones(6))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_density_rejects_non_finite(bad, normalize):
+    with pytest.raises(ValueError, match="finite"):
+        Density(2, np.array([bad, 1.0]), normalize=normalize)
+
+
 def test_anisotropic_levels():
     d = Density(2, np.ones((8, 2)), normalize=False)
     assert d.levels == (3, 1)

@@ -93,8 +93,6 @@ def cmd_baker_evolve(args):
     rng = np.random.default_rng(seed)
     n = args.beta ** args.level
     d = grids.Density(args.beta, rng.random((n, n)) + 0.2)
-    if d.levels[0] < args.t:
-        d = d.refined(axis=0, extra_levels=args.t - d.levels[0])
     probe = np.tile(np.arange(n) < n // 2, (n, 1)).astype(float)
     lines = ["t,l1_norm,l2_norm,weak_dev"]
     cur = d

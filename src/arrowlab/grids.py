@@ -239,6 +239,8 @@ class StochasticKernel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("kernel must be a square matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("kernel entries must be finite")
         if np.any(m < 0):
             raise ValueError("kernel entries must be non-negative")
         if not np.allclose(m.sum(axis=0), 1.0, atol=1e-10):

@@ -1,24 +1,33 @@
 """Spectral decomposition of the beta-adic transfer operator on polynomials.
 
 Bernoulli polynomials B_n are right eigenvectors, U B_n = beta^-n B_n; the
-dual (left) functionals pick off boundary derivatives.  With rational
-coefficients everything here is exact.
+dual (left) functionals pick off boundary derivatives.  Coefficients are
+exact rationals (int or Fraction) throughout, so every identity here holds
+exactly; `Poly.as_floats` is the one way out to float64.
+
+The Bernoulli numbers come from the recurrence
+sum_{k<=m} C(m+1, k) B_k = 0 (m >= 1, B_0 = 1, so B_1 = -1/2), and the
+polynomials from B_n(x) = sum_k C(n, k) B_{n-k} x^k, both in `Fraction`
+arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from numbers import Rational
 
 import numpy as np
-import sympy
+from numpy.polynomial.polynomial import polyval
 
 
 class Poly:
-    """Polynomial with exact (Fraction) or float coefficients, low order first."""
+    """Polynomial with exact rational (int or Fraction) coefficients, low order first."""
 
     def __init__(self, coeffs):
         cs = list(coeffs)
+        if not all(isinstance(c, Rational) for c in cs):
+            raise TypeError("Poly coefficients must be exact rationals (int or Fraction)")
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -49,30 +58,23 @@ class Poly:
         return Poly([s * c for c in self.coeffs])
 
     def derivative(self) -> "Poly":
-        if self.degree == 0:
-            return Poly([0 * self.coeffs[0]])
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly([i * c for i, c in enumerate(self.coeffs)][1:] or [0])
 
     def integral01(self):
         """Integral over [0,1]."""
-        total = 0
-        for i, c in enumerate(self.coeffs):
-            total = total + Fraction(1, i + 1) * c if isinstance(c, (int, Fraction)) \
-                else total + c / (i + 1)
-        return total
+        return sum(Fraction(c, i + 1) for i, c in enumerate(self.coeffs))
 
     def compose_affine(self, a, b) -> "Poly":
-        """p(a*x + b), exact for rational a, b."""
-        out = Poly([0 * self.coeffs[0]])
-        xpow = Poly([1]) if not isinstance(self.coeffs[0], Fraction) else Poly([Fraction(1)])
-        lin = Poly([b, a])
-        for c in self.coeffs:
-            out = out + xpow.scaled(c)
-            xpow = _poly_mul(xpow, lin)
-        return out
+        """p(a*x + b): c_k (a x + b)^k expanded binomially, exact for rational a, b."""
+        out = [0] * len(self.coeffs)
+        for k, c in enumerate(self.coeffs):
+            for j in range(k + 1):
+                out[j] += comb(k, j) * b ** (k - j) * c
+        return Poly([a ** j * c for j, c in enumerate(out)])
 
-    def as_floats(self) -> "Poly":
-        return Poly([float(c) for c in self.coeffs])
+    def as_floats(self) -> np.ndarray:
+        """The coefficients rounded to a float64 array, low order first."""
+        return np.array([float(c) for c in self.coeffs])
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -81,35 +83,29 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out = [0 * (p.coeffs[0] * q.coeffs[0])] * (p.degree + q.degree + 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] = out[i + j] + a * b
-    return Poly(out)
-
-
 def bernoulli_poly(n: int) -> Poly:
     """B_n(x) with exact rational coefficients (B_0 = 1, B_1 = x - 1/2, ...)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = sympy.symbols("x")
-    expr = sympy.bernoulli(n, x)
-    poly = sympy.Poly(expr, x)
-    cs = [Fraction(0)] * (n + 1)
-    for (k,), c in poly.terms():
-        cs[k] = Fraction(int(sympy.fraction(c)[0]), int(sympy.fraction(c)[1]))
-    return Poly(cs)
+    bs = [Fraction(1)]
+    for m in range(1, n + 1):
+        bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
+    return Poly([comb(n, k) * bs[n - k] for k in range(n + 1)])
 
 
 def fp_poly(p: Poly, base: int) -> Poly:
-    """Transfer operator on a polynomial: (1/b) sum_r p((x+r)/b), exact."""
-    inv = Fraction(1, base)
-    acc = None
-    for r in range(base):
-        term = p.compose_affine(inv, Fraction(r, base))
-        acc = term if acc is None else acc + term
-    return acc.scaled(inv)
+    """Transfer operator on a polynomial: (1/b) sum_r p((x+r)/b), exact.
+
+    Expanding ((x+r)/b)^k binomially, the sum over r needs only the integer
+    power sums S_m = sum_{r<b} r^m.
+    """
+    s = [sum(r ** m for r in range(base)) for m in range(len(p.coeffs))]
+    out = [0] * len(p.coeffs)
+    for k, c in enumerate(p.coeffs):
+        ck = Fraction(c, base ** (k + 1))
+        for j in range(k + 1):
+            out[j] += comb(k, j) * s[k - j] * ck
+    return Poly(out)
 
 
 def left_functional(n: int, p: Poly):
@@ -120,8 +116,7 @@ def left_functional(n: int, p: Poly):
     q = p
     for _ in range(n - 1):
         q = q.derivative()
-    return Fraction(q(1) - q(0), 1) / factorial(n) if isinstance(q(1), (int, Fraction)) \
-        else (q(1) - q(0)) / factorial(n)
+    return Fraction(q(1) - q(0), factorial(n))
 
 
 def expand(p: Poly, n_max: int | None = None):
@@ -140,10 +135,7 @@ def reconstruct(coeffs) -> Poly:
 
 def evolve_spectral(p: Poly, base: int, t: int) -> Poly:
     """U^t p via the eigenbasis: c_n -> beta^-nt c_n."""
-    cs = expand(p)
-    scaled = [c * Fraction(1, base ** (n * t)) if isinstance(c, (int, Fraction))
-              else c / base ** (n * t) for n, c in enumerate(cs)]
-    return reconstruct(scaled)
+    return reconstruct([Fraction(c, base ** (n * t)) for n, c in enumerate(expand(p))])
 
 
 def decompose_equilibrium(p: Poly):
@@ -167,18 +159,17 @@ def sample_poly(p: Poly, base: int, level: int) -> np.ndarray:
     """Cell averages of p on the beta-adic grid (exact integrals per cell)."""
     n = base ** level
     # average over cell = (P(x_{i+1}) - P(x_i)) * n with P the antiderivative
-    cs = [0.0] + [float(c) / (i + 1) for i, c in enumerate(p.coeffs)]
-    big = Poly(cs)
-    edges = np.arange(n + 1) / n
-    vals = np.array([big(e) for e in edges])
+    cs = p.as_floats()
+    big = np.concatenate(([0.0], cs / np.arange(1, cs.size + 1)))
+    vals = polyval(np.arange(n + 1) / n, big)
     return (vals[1:] - vals[:-1]) * n
 
 
 def basis_table(n_max: int, n_points: int = 101) -> str:
     """CSV: x plus B_0..B_n sampled on a uniform grid."""
     xs = np.linspace(0.0, 1.0, n_points)
-    polys = [bernoulli_poly(n).as_floats() for n in range(n_max + 1)]
+    cols = [xs] + [polyval(xs, bernoulli_poly(n).as_floats()) for n in range(n_max + 1)]
     lines = ["x," + ",".join(f"B{n}" for n in range(n_max + 1))]
-    for x in xs:
-        lines.append(",".join([repr(float(x))] + [repr(float(p(x))) for p in polys]))
+    for row in zip(*cols):
+        lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"

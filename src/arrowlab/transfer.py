@@ -86,8 +86,6 @@ def fp_step(spec: MapSpec, d: Density) -> Density:
 
 
 def fp_iterate(spec: MapSpec, d: Density, t: int) -> Density:
-    if spec.kind == "baker" and d.levels[0] < t:
-        d = d.refined(axis=0, extra_levels=t - d.levels[0])
     for _ in range(t):
         d = fp_step(spec, d)
     return d
@@ -208,8 +206,6 @@ def convergence_report(spec: MapSpec, d: Density, probes, t_max: int):
     """Cesaro / weak / strong convergence classification with fitted rates."""
     if t_max < 4:
         raise ValueError("t_max must be >= 4")
-    if spec.kind == "baker" and d.levels[0] < t_max:
-        d = d.refined(axis=0, extra_levels=t_max - d.levels[0])
     probes = [np.asarray(g, dtype=float) for g in probes]
     means = [float(np.mean(g)) for g in probes]
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,17 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["not-a-command"])
     assert exc.value.code == 1
+
+
+def test_import_is_light():
+    # the CLI needs numpy and the standard library only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = ("import sys, arrowlab.cli; "
+            "print(sorted({'sympy', 'scipy'} & {m.split('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_suites_pass(capsys):

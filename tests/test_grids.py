@@ -86,6 +86,14 @@ def test_stochastic_kernel_validation():
     assert abs(l1_norm(out) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stochastic_kernel_rejects_non_finite(bad):
+    m = np.full((2, 2), 0.5)
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        StochasticKernel(m)
+
+
 def test_kernel_contracts_signed_functions():
     rng = np.random.default_rng(2)
     m = rng.random((8, 8)) + 0.01

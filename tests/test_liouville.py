@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from arrowlab import liouville
 from arrowlab.liouville import (check_density_matrix, conjugate_momentum_grid,
                                 dephase_cesaro, dephase_evolution,
                                 diagonal_part, expectation, is_self_associated,
@@ -156,6 +157,37 @@ def test_dephase_cesaro_decays_like_one_over_t():
         devs.append(abs(avg - star))
     # bounded oscillatory sums: T * deviation stays bounded
     assert all(t * d < 2.0 for t, d in zip((50, 100, 200, 400), devs))
+
+
+def _cesaro_loop(rho0, w, obs, big_t, n_steps):
+    ts = (np.arange(n_steps) + 0.5) * (big_t / n_steps)
+    return np.mean([expectation(dephase_evolution(rho0, w, t), obs) for t in ts])
+
+
+@pytest.mark.parametrize("n", [2, 6, 16])
+def test_dephase_cesaro_matches_time_loop(n, monkeypatch):
+    local = np.random.default_rng(n)
+    w = np.sort(local.random(n)) * n
+    r = local.random((n, n)) + 1j * local.random((n, n))
+    r = r + r.conj().T
+    r = r / np.trace(r).real
+    obs = local.random((n, n))
+    obs = obs + obs.T
+    want = _cesaro_loop(r, w, obs, 50.0, 2000)
+    assert abs(dephase_cesaro(r, w, obs, 50.0) - want) < 1e-12
+    # several phase blocks, the last one short
+    monkeypatch.setattr(liouville, "_PHASE_BLOCK", 333 * n * n)
+    assert abs(dephase_cesaro(r, w, obs, 50.0) - want) < 1e-12
+
+
+def test_dephase_cesaro_rejects_bad_input():
+    r = np.eye(3) / 3
+    with pytest.raises(ValueError):
+        dephase_cesaro(r, [0.0, 1.0], np.eye(3), 10.0)
+    with pytest.raises(ValueError):
+        dephase_cesaro(r, [0.0, 1.0, 2.0], np.eye(2), 10.0)
+    with pytest.raises(ValueError):
+        dephase_cesaro(r, [0.0, 1.0, 2.0], np.eye(3), 10.0, n_steps=0)
 
 
 def test_wigner_gaussian_ground_state():

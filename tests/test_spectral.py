@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arrowlab.spectral import (Poly, basis_table, bernoulli_poly,
                                biorthonormality_matrix, decompose_equilibrium,
@@ -22,6 +25,47 @@ def test_known_bernoulli_polynomials():
     assert bernoulli_poly(0).coeffs == (Fraction(1),)
     assert bernoulli_poly(1).coeffs == (Fraction(-1, 2), Fraction(1))
     assert bernoulli_poly(2).coeffs == (Fraction(1, 6), Fraction(-1), Fraction(1))
+
+
+def test_bernoulli_numbers_exact():
+    # B_n = B_n(0), the constant coefficient
+    assert bernoulli_poly(2).coeffs[0] == Fraction(1, 6)
+    assert bernoulli_poly(4).coeffs[0] == Fraction(-1, 30)
+    assert bernoulli_poly(12).coeffs[0] == Fraction(-691, 2730)
+    assert all(bernoulli_poly(n).coeffs[0] == 0 for n in range(3, 31, 2))
+
+
+@given(st.integers(min_value=1, max_value=30))
+def test_bernoulli_derivative_is_n_times_previous(n):
+    assert bernoulli_poly(n).derivative() == bernoulli_poly(n - 1).scaled(n)
+
+
+@given(st.integers(min_value=1, max_value=30))
+def test_bernoulli_unit_difference(n):
+    # B_n(x + 1) - B_n(x) = n x^(n-1)
+    bn = bernoulli_poly(n)
+    assert bn.compose_affine(1, 1) - bn == Poly([0] * (n - 1) + [n])
+
+
+def test_poly_coefficients_stay_exact():
+    with pytest.raises(TypeError):
+        Poly([Fraction(1), 0.5])
+    cs = bernoulli_poly(3).as_floats()
+    assert cs.dtype == np.float64
+    assert cs.tolist() == [0.0, 0.5, -1.5, 1.0]
+
+
+def test_float_evaluation_is_horner():
+    # basis_table and sample_poly evaluate as_floats() with the Horner loop
+    xs = np.linspace(0.0, 1.0, 7)
+    rows = [ln.split(",") for ln in basis_table(9, n_points=7).splitlines()[1:]]
+    for n in range(10):
+        cs = bernoulli_poly(n).as_floats()
+        for x, row in zip(xs, rows):
+            acc = 0.0
+            for c in cs[::-1]:
+                acc = acc * x + c
+            assert float(row[n + 1]) == acc
 
 
 def test_bernoulli_integral_zero():

@@ -12,26 +12,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Density, StochasticKernel, apply_markov, uniform_density
+from .grids import Density, StochasticKernel, on_common_grid, uniform_density
 
 NEG_INF = float("-inf")
 _ZERO = 1e-300  # below this a cell counts as empty for the 0*log(0) = 0 rule
 
 
-def _eta(v: np.ndarray) -> np.ndarray:
-    """v*ln(v) with 0 ln 0 = 0."""
-    out = np.zeros_like(v)
-    m = v > _ZERO
-    out[m] = v[m] * np.log(v[m])
-    return out
+def _hc_vec(rv: np.ndarray, sv: np.ndarray) -> float:
+    """H_C of two cell arrays on one grid; NEG_INF where rv > 0 = sv."""
+    m = rv > _ZERO
+    if np.any(m & (sv <= _ZERO)):
+        return NEG_INF
+    out = np.zeros_like(rv)
+    out[m] = rv[m] * np.log(rv[m] / sv[m])
+    return float(-out.mean())
 
 
 def gibbs_entropy(d: Density) -> float:
-    """H(rho) = -integral rho ln rho; <= 0 on the unit-volume space."""
+    """H(rho) = -integral rho ln rho = H_C(rho|1); <= 0 on the unit-volume space."""
     v = d.values
     if abs(v.mean() - 1.0) > 1e-9:
         raise ValueError("density must be normalized")
-    return float(-_eta(v).mean())
+    return _hc_vec(v, np.ones_like(v))
 
 
 def conditional_entropy(rho: Density, sigma: Density):
@@ -39,16 +41,7 @@ def conditional_entropy(rho: Density, sigma: Density):
 
     Returns NEG_INF when rho puts mass where sigma vanishes.
     """
-    from .grids import on_common_grid
-
-    rv, sv = on_common_grid(rho.values, sigma.values, rho.base)
-    bad = (rv > _ZERO) & (sv <= _ZERO)
-    if bad.any():
-        return NEG_INF
-    m = rv > _ZERO
-    out = np.zeros_like(rv)
-    out[m] = rv[m] * np.log(rv[m] / sv[m])
-    return float(-out.mean())
+    return _hc_vec(*on_common_grid(rho.values, sigma.values, rho.base))
 
 
 def max_entropy_uniform(level: int, base: int, dims: int = 1) -> Density:
@@ -114,16 +107,6 @@ def canonical_density(alpha: np.ndarray, target_mean: float, base: int = 2,
     return Density(base, w / z, normalize=False), float(nu), z
 
 
-def is_canonical(d: Density, alpha: np.ndarray, tol: float = 1e-8):
-    """True if ln(rho) is affine in alpha, i.e. rho = e^{-nu alpha}/Z."""
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    lv = np.log(d.values.ravel())
-    a = np.vstack([alpha, np.ones_like(alpha)]).T
-    coef, *_ = np.linalg.lstsq(a, lv, rcond=None)
-    resid = lv - a @ coef
-    return bool(np.max(np.abs(resid)) < tol), -float(coef[0])
-
-
 def voigt_monotonicity_suite(kernel: StochasticKernel, trials: int = 100,
                              seed: int = 0):
     """Worst case of H_C(K rho|K sigma) - H_C(rho|sigma) over random pairs.
@@ -146,15 +129,6 @@ def voigt_monotonicity_suite(kernel: StochasticKernel, trials: int = 100,
         worst = min(worst, after - before)
     return {"worst_violation": float(worst), "trials": trials,
             "pass": bool(worst >= -1e-10), "mean_gain": float(np.mean(diffs))}
-
-
-def _hc_vec(rv: np.ndarray, sv: np.ndarray) -> float:
-    m = rv > _ZERO
-    if np.any(m & (sv <= _ZERO)):
-        return NEG_INF
-    out = np.zeros_like(rv)
-    out[m] = rv[m] * np.log(rv[m] / sv[m])
-    return float(-out.mean())
 
 
 def entropy_gap_quadratic(rho_star: Density, rho1: np.ndarray, gamma: float,

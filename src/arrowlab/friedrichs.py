@@ -62,6 +62,16 @@ class ResonancePole:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(400)
 
+# elements in one (rows x columns) work array of the chunked sums: 512 KiB of
+# float64, small enough to stay in cache
+_BLOCK = 1 << 16
+
+
+def _rows(n_cols: int) -> int:
+    """Rows per chunk: a multiple of 16, so BLAS row blocking, and with it
+    every matrix-vector result, does not depend on the chunking."""
+    return 16 * max(1, _BLOCK // (16 * max(n_cols, 1)))
+
 
 def _cauchy_integral(z: complex, model: FriedrichsModel) -> complex:
     """integral_0^W g^2(u)/(z-u) du for z off the real cut.
@@ -81,18 +91,30 @@ def _cauchy_integral(z: complex, model: FriedrichsModel) -> complex:
     return complex(smooth + g2x * (np.log(z) - np.log(z - w_max)))
 
 
-def principal_value_integral(omega: float, model: FriedrichsModel,
-                             n_nodes: int = 400) -> float:
-    """PV integral_0^W g^2(u)/(omega-u) du by singularity subtraction."""
+def _pv_integral(omega: np.ndarray, model: FriedrichsModel) -> np.ndarray:
+    """PV integral_0^W g^2(u)/(omega-u) du at each point of a 1D omega array,
+    by singularity subtraction on the Gauss-Legendre rule; the pole term is
+    g^2(omega) log(omega/(W-omega)).  Row chunks keep memory O(len(omega))."""
     w_max = model.omega_max
-    if not (0 < omega < w_max):
+    if not np.all((omega > 0) & (omega < w_max)):
         raise ValueError("omega must lie inside the cut")
-    x, wt = np.polynomial.legendre.leggauss(n_nodes)
-    u = 0.5 * w_max * (x + 1.0)
-    wts = 0.5 * w_max * wt
-    g2w = float(model.g2(omega))
-    integrand = (model.g2(u) - g2w) / (omega - u)
-    return float(np.sum(wts * integrand) + g2w * np.log(omega / (w_max - omega)))
+    u = 0.5 * w_max * (_GL_NODES + 1.0)
+    wts = 0.5 * w_max * _GL_WEIGHTS
+    g2u = model.g2(u)
+    g2 = model.g2(omega)
+    pv = np.empty(omega.size)
+    rows = _rows(u.size)
+    for s in range(0, omega.size, rows):
+        ws, g2s = omega[s:s + rows], g2[s:s + rows]
+        pv[s:s + rows] = ((g2u[None, :] - g2s[:, None]) / (ws[:, None] - u[None, :])) @ wts
+    pv += g2 * np.log(omega / (w_max - omega))
+    return pv
+
+
+def principal_value_integral(omega: float, model: FriedrichsModel) -> float:
+    """PV integral_0^W g^2(u)/(omega-u) du for one omega inside the cut, by
+    the same singularity-subtracted rule as `boundary_alpha`."""
+    return float(_pv_integral(np.array([float(omega)]), model)[0])
 
 
 def alpha(z: complex, sheet: str, model: FriedrichsModel) -> complex:
@@ -112,12 +134,13 @@ def alpha(z: complex, sheet: str, model: FriedrichsModel) -> complex:
 
 
 def boundary_alpha(omega, model: FriedrichsModel):
-    """alpha(omega + i0) on the cut: PV part + i pi lam^2 g^2."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    pv = np.array([principal_value_integral(w, model) for w in omega])
-    out = omega - model.omega1 - model.lam ** 2 * pv \
-        + 1j * np.pi * model.lam ** 2 * model.g2(omega)
-    return out if out.size > 1 else complex(out[0])
+    """alpha(omega + i0) on the cut: PV part + i pi lam^2 g^2; a complex for
+    a scalar omega, an array of omega's shape for an array."""
+    omega = np.asarray(omega, dtype=float)
+    w = omega.ravel()
+    out = w - model.omega1 - model.lam ** 2 * _pv_integral(w, model) \
+        + 1j * np.pi * model.lam ** 2 * model.g2(w)
+    return complex(out[0]) if omega.ndim == 0 else out.reshape(omega.shape)
 
 
 def find_pole(model: FriedrichsModel, tol: float = 1e-12,
@@ -151,16 +174,7 @@ def find_pole(model: FriedrichsModel, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 _EPS = np.finfo(float).eps
-# elements in one (rows x columns) work array of the chunked sums: 512 KiB of
-# float64, small enough to stay in cache
-_BLOCK = 1 << 16
 _SECULAR_MAX_ITER = 64
-
-
-def _rows(n_cols: int) -> int:
-    """Rows per chunk: a multiple of 16, so BLAS row blocking, and with it
-    every matrix-vector result, does not depend on the chunking."""
-    return 16 * max(1, _BLOCK // (16 * max(n_cols, 1)))
 
 
 def _mode_grid(model: FriedrichsModel, n_modes: int):
@@ -313,24 +327,9 @@ def spectral_density(model: FriedrichsModel, n_points: int = 40001):
     """psi(omega) = lam^2 g^2 / |alpha(omega+i0)|^2 on a fine midpoint grid."""
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    w_max = model.omega_max
-    dw = w_max / n_points
+    dw = model.omega_max / n_points
     wgrid = (np.arange(n_points) + 0.5) * dw
-    x, wt = np.polynomial.legendre.leggauss(400)
-    u = 0.5 * w_max * (x + 1.0)
-    wts = 0.5 * w_max * wt
-    g2u = model.g2(u)
-    g2 = model.g2(wgrid)
-    # PV via subtraction, vectorized over row chunks of the evaluation grid
-    pv = np.empty(n_points)
-    rows = _rows(u.size)
-    for s in range(0, n_points, rows):
-        ws, g2s = wgrid[s:s + rows], g2[s:s + rows]
-        pv[s:s + rows] = ((g2u[None, :] - g2s[:, None]) / (ws[:, None] - u[None, :])) @ wts
-    pv += g2 * np.log(wgrid / (w_max - wgrid))
-    a_plus = wgrid - model.omega1 - model.lam ** 2 * pv \
-        + 1j * np.pi * model.lam ** 2 * g2
-    psi = model.lam ** 2 * g2 / np.abs(a_plus) ** 2
+    psi = model.lam ** 2 * model.g2(wgrid) / np.abs(boundary_alpha(wgrid, model)) ** 2
     return wgrid, psi, dw
 
 
@@ -460,13 +459,6 @@ def mixed_state_decay(rho11: float, rho_1w: np.ndarray, rho_ww: np.ndarray,
         "pole": rho11 * w_full,         # weight e^{-gamma1 t}
         "weights": (1.0, w_half, w_full),
     }
-
-
-def weak_distance(split, test_fn_values: np.ndarray, dw: float) -> float:
-    """Pairing of the decaying components against a smooth test function."""
-    test = np.asarray(test_fn_values, dtype=complex)
-    cross = complex(np.sum(split["cross"] * test) * dw)
-    return abs(split["pole"]) + abs(cross)
 
 
 def thermal_many_mode(temperature: float, gamma: float, f, t,

@@ -298,19 +298,12 @@ class Partition:
 
 def square_partition(base: int, level: int, dims: int = 1) -> Partition:
     """The full beta-adic grid of the given level as a partition."""
-    n = base ** level
+    shape = (base ** level,) * dims
     cells = []
-    if dims == 1:
-        for i in range(n):
-            m = np.zeros(n, dtype=bool)
-            m[i] = True
-            cells.append(GridSet(base, m))
-    else:
-        for i in range(n):
-            for j in range(n):
-                m = np.zeros((n, n), dtype=bool)
-                m[i, j] = True
-                cells.append(GridSet(base, m))
+    for idx in np.ndindex(shape):
+        m = np.zeros(shape, dtype=bool)
+        m[idx] = True
+        cells.append(GridSet(base, m))
     return Partition(tuple(cells))
 
 
@@ -348,10 +341,8 @@ def coarse_values(d: Density, p: Partition) -> np.ndarray:
 def density_to_csv(d: Density) -> str:
     """Serialize: header `dims,base,level`, then `cell_index,value` rows."""
     buf = io.StringIO()
-    levels = d.levels
-    lvl = levels[0] if len(set(levels)) == 1 else max(levels)
     buf.write("dims,base,level\n")
-    buf.write(f"{d.dims},{d.base},{lvl}\n")
+    buf.write(f"{d.dims},{d.base},{d.level}\n")
     buf.write("cell_index,value\n")
     for i, v in enumerate(d.values.ravel()):
         buf.write(f"{i},{float(v)!r}\n")

@@ -111,19 +111,24 @@ def fp_poly(p: Poly, base: int) -> Poly:
 def left_functional(n: int, p: Poly):
     """Dual pairing (B~_n, p): integral for n=0, boundary jump of the
     (n-1)-th derivative over n! for n >= 1."""
-    if n == 0:
-        return p.integral01()
-    q = p
-    for _ in range(n - 1):
-        q = q.derivative()
-    return Fraction(q(1) - q(0), factorial(n))
+    return expand(p, n)[n]
 
 
 def expand(p: Poly, n_max: int | None = None):
-    """Coefficients c_n with p = sum c_n B_n; exact for rational p."""
+    """Coefficients c_n = (B~_n, p), n <= n_max, with p = sum c_n B_n; exact
+    for rational p.
+
+    c_0 is the integral of p over [0, 1] and c_n = (p^(n-1)(1) - p^(n-1)(0))/n!
+    for n >= 1, taken along one pass over the derivatives of p.
+    """
     if n_max is None:
         n_max = p.degree
-    return [left_functional(n, p) for n in range(n_max + 1)]
+    out = [p.integral01()]
+    q = p
+    for n in range(1, n_max + 1):
+        out.append(Fraction(q(1) - q(0), factorial(n)))
+        q = q.derivative()
+    return out[:n_max + 1]
 
 
 def reconstruct(coeffs) -> Poly:
@@ -147,22 +152,23 @@ def decompose_equilibrium(p: Poly):
 
 def biorthonormality_matrix(n_max: int):
     """Gram matrix (B~_m, B_n); the identity when all is well."""
-    out = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        bn = bernoulli_poly(n)
-        for m in range(n_max + 1):
-            out[m, n] = float(left_functional(m, bn))
-    return out
+    return np.array([expand(bernoulli_poly(n), n_max) for n in range(n_max + 1)],
+                    dtype=float).T
 
 
 def sample_poly(p: Poly, base: int, level: int) -> np.ndarray:
-    """Cell averages of p on the beta-adic grid (exact integrals per cell)."""
+    """Cell averages of p on the beta-adic grid, relative error near eps at
+    any level: the average over a cell of width h with midpoint m is
+    sum_{j even} p^(j)(m) (h/2)^j / (j+1)!, each term one float evaluation
+    of an exactly scaled derivative."""
     n = base ** level
-    # average over cell = (P(x_{i+1}) - P(x_i)) * n with P the antiderivative
-    cs = p.as_floats()
-    big = np.concatenate(([0.0], cs / np.arange(1, cs.size + 1)))
-    vals = polyval(np.arange(n + 1) / n, big)
-    return (vals[1:] - vals[:-1]) * n
+    mid = (np.arange(n) + 0.5) / n
+    out = np.zeros(n)
+    q = p
+    for j in range(0, p.degree + 1, 2):
+        out += polyval(mid, q.scaled(Fraction(1, (2 * n) ** j * factorial(j + 1))).as_floats())
+        q = q.derivative().derivative()
+    return out
 
 
 def basis_table(n_max: int, n_points: int = 101) -> str:

@@ -34,12 +34,8 @@ def fp_renyi(d: Density, base: int | None = None) -> Density:
     k = d.levels[0]
     if k < 1:
         raise ValueError("level-0 grid cannot resolve preimages")
-    n = b ** k
-    j = np.arange(n)
-    out = np.zeros(n)
-    for r in range(b):
-        out += d.values[(j + r * n) // b]
-    return Density(b, out / b, normalize=False)
+    # level-k cell j holds the mean of the cells j // b + r b^(k-1), r < b
+    return Density(b, np.repeat(d.values.reshape(b, -1).mean(0), b), normalize=False)
 
 
 def _baker_cells(v: np.ndarray, b: int) -> np.ndarray:

@@ -54,9 +54,17 @@ def test_alpha_rejects_cut_points():
 
 
 def test_boundary_alpha_is_cut_limit():
-    for x in (0.3, 1.0, 5.0):
-        lim = alpha(x + 1e-9j, "first", MODEL)
+    xs = (0.3, 1.0, 5.0)
+    lims = np.array([alpha(x + 1e-9j, "first", MODEL) for x in xs])
+    for x, lim in zip(xs, lims):
+        assert isinstance(boundary_alpha(x, MODEL), complex)
         assert abs(boundary_alpha(x, MODEL) - lim) < 1e-7
+    assert np.abs(boundary_alpha(np.array(xs), MODEL) - lims).max() < 1e-7
+    # an array in gives an array of its length, also for lengths 1 and 0
+    one = boundary_alpha(np.array([xs[0]]), MODEL)
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert abs(one[0] - lims[0]) < 1e-7
+    assert boundary_alpha(np.array([]), MODEL).shape == (0,)
 
 
 def test_principal_value_against_closed_form():

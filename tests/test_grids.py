@@ -134,3 +134,6 @@ def test_csv_roundtrip():
     d2 = Density(2, rng.random((4, 4)) + 0.1)
     back2 = density_from_csv(density_to_csv(d2))
     assert np.array_equal(back2.values, d2.values)
+    # an anisotropic grid has no single level to write: fail before writing
+    with pytest.raises(ValueError, match="anisotropic"):
+        density_to_csv(Density(2, rng.random((2, 8)) + 0.1))

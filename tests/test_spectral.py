@@ -127,6 +127,17 @@ def test_sample_poly_cell_averages():
     assert np.allclose(v, expect, atol=1e-14)
 
 
+def test_sample_poly_exact_at_fine_level():
+    # cell averages of B8 at level 16 against exact Fraction averages
+    p = bernoulli_poly(8)
+    antider = Poly([0] + [Fraction(c, i + 1) for i, c in enumerate(p.coeffs)])
+    n = 2 ** 16
+    v = sample_poly(p, 2, 16)
+    for i in (0, 1, n // 3, n // 2 + 7, n - 1):
+        exact = float((antider(Fraction(i + 1, n)) - antider(Fraction(i, n))) * n)
+        assert abs(v[i] - exact) <= 1e-13 * abs(exact)
+
+
 def test_basis_table_header():
     text = basis_table(3, n_points=5)
     lines = text.splitlines()

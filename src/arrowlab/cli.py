@@ -350,9 +350,9 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
     p.commands = sub.choices
 
-    def common(sp, out_required=True):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", required=out_required)
+        sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("renyi-evolve")
     sp.add_argument("--beta", type=int, default=2)

@@ -4,7 +4,10 @@ independent routes, mixed-state decay splits, the thermal many-mode state,
 the Lambda-trace Lyapunov functional, and biorthogonal trace/energy checks.
 
 Conventions: hbar = 1, continuum on [0, omega_max], default form factor
-g(omega) = exp(-omega/2).
+g(omega) = exp(-omega/2).  alpha on both sheets and on the cut comes from
+one rule for int g^2(u)/(z-u) du that subtracts the singularity at z itself
+and stays accurate right up to the cut; it evaluates g at complex z, so a
+custom g must accept complex input.
 
 The two survival routes share no numerics and neither builds an O(N^2) or
 O(N*M) array.  The oracle finds the exact spectrum of the N-mode
@@ -61,6 +64,10 @@ class ResonancePole:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(400)
+_EPS = np.finfo(float).eps
+_POLE_TOL = 1e-12
+_POLE_MAX_ITER = 100
+_SECULAR_MAX_ITER = 64
 
 # elements in one (rows x columns) work array of the chunked sums: 512 KiB of
 # float64, small enough to stay in cache
@@ -73,48 +80,44 @@ def _rows(n_cols: int) -> int:
     return 16 * max(1, _BLOCK // (16 * max(n_cols, 1)))
 
 
-def _cauchy_integral(z: complex, model: FriedrichsModel) -> complex:
-    """integral_0^W g^2(u)/(z-u) du for z off the real cut.
+def _cut_integral(z: np.ndarray, model: FriedrichsModel) -> np.ndarray:
+    """integral_0^W g^2(u)/(z-u) du at each point of a 1D array z.
 
-    Singularity subtraction keeps the quadrature uniformly accurate even for
-    z within machine epsilon of the cut: the subtracted integrand is smooth
-    and the pole term integrates to g^2(x0) log(z/(z-W)) in closed form
-    (the principal log is the right branch for Im z != 0 since z-u never
-    crosses the negative real axis along the contour).
+    The singularity is subtracted at z itself:
+        int (g^2(u) - g^2(z))/(z-u) du + g^2(z) [log z - log(z-W)].
+    For an analytic g^2, such as the default, the subtracted integrand is
+    smooth for every z and the Gauss-Legendre rule stays accurate right up to
+    the cut; this needs g at complex z.  A real z inside the cut gives the
+    limit from above, PV int - i pi g^2(z): the smooth part then runs in real
+    arithmetic and the principal log of z - W + 0i is log(W - z) + i pi.
+    Row chunks keep memory O(len(z)).
     """
     w_max = model.omega_max
     u = 0.5 * w_max * (_GL_NODES + 1.0)
     wts = 0.5 * w_max * _GL_WEIGHTS
-    x0 = min(max(z.real, 0.0), w_max)
-    g2x = complex(model.g2(x0))
-    smooth = np.sum(wts * (model.g2(u) - g2x) / (z - u))
-    return complex(smooth + g2x * (np.log(z) - np.log(z - w_max)))
-
-
-def _pv_integral(omega: np.ndarray, model: FriedrichsModel) -> np.ndarray:
-    """PV integral_0^W g^2(u)/(omega-u) du at each point of a 1D omega array,
-    by singularity subtraction on the Gauss-Legendre rule; the pole term is
-    g^2(omega) log(omega/(W-omega)).  Row chunks keep memory O(len(omega))."""
-    w_max = model.omega_max
-    if not np.all((omega > 0) & (omega < w_max)):
-        raise ValueError("omega must lie inside the cut")
-    u = 0.5 * w_max * (_GL_NODES + 1.0)
-    wts = 0.5 * w_max * _GL_WEIGHTS
     g2u = model.g2(u)
-    g2 = model.g2(omega)
-    pv = np.empty(omega.size)
+    g2z = model.g2(z)
+    smooth = np.empty(z.size, dtype=np.result_type(z, g2z))
     rows = _rows(u.size)
-    for s in range(0, omega.size, rows):
-        ws, g2s = omega[s:s + rows], g2[s:s + rows]
-        pv[s:s + rows] = ((g2u[None, :] - g2s[:, None]) / (ws[:, None] - u[None, :])) @ wts
-    pv += g2 * np.log(omega / (w_max - omega))
-    return pv
+    for s in range(0, z.size, rows):
+        zs, g2s = z[s:s + rows], g2z[s:s + rows]
+        smooth[s:s + rows] = ((g2u[None, :] - g2s[:, None]) / (zs[:, None] - u[None, :])) @ wts
+    zc = z.astype(complex)
+    return smooth + g2z * (np.log(zc) - np.log(zc - w_max))
+
+
+def _on_cut(omega, model: FriedrichsModel) -> np.ndarray:
+    """omega as a flat float array, checked to lie inside the cut (0, W)."""
+    w = np.asarray(omega, dtype=float).ravel()
+    if not np.all((w > 0) & (w < model.omega_max)):
+        raise ValueError("omega must lie inside the cut")
+    return w
 
 
 def principal_value_integral(omega: float, model: FriedrichsModel) -> float:
-    """PV integral_0^W g^2(u)/(omega-u) du for one omega inside the cut, by
-    the same singularity-subtracted rule as `boundary_alpha`."""
-    return float(_pv_integral(np.array([float(omega)]), model)[0])
+    """PV integral_0^W g^2(u)/(omega-u) du for one omega inside the cut: the
+    real part of the rule behind `alpha` and `boundary_alpha`."""
+    return float(_cut_integral(_on_cut(float(omega), model), model)[0].real)
 
 
 def alpha(z: complex, sheet: str, model: FriedrichsModel) -> complex:
@@ -125,40 +128,35 @@ def alpha(z: complex, sheet: str, model: FriedrichsModel) -> complex:
         raise ValueError("sheet must be 'first' or 'second'")
     if sheet == "first" and z.imag == 0.0 and 0 <= z.real <= model.omega_max:
         raise ValueError("z lies on the cut; use boundary_alpha")
-    base = z - model.omega1 - model.lam ** 2 * _cauchy_integral(z, model)
+    base = complex(z - model.omega1 - model.lam ** 2 * _cut_integral(np.array([z]), model)[0])
     if sheet == "first":
         return base
-    # analytic continuation of g^2 for the default exponential form factor
-    g2z = np.exp(-z) if model.g is _default_g else complex(model.g(z)) ** 2
-    return base + 2j * np.pi * model.lam ** 2 * g2z
+    return base + 2j * np.pi * model.lam ** 2 * complex(model.g2(z))
 
 
 def boundary_alpha(omega, model: FriedrichsModel):
-    """alpha(omega + i0) on the cut: PV part + i pi lam^2 g^2; a complex for
-    a scalar omega, an array of omega's shape for an array."""
-    omega = np.asarray(omega, dtype=float)
-    w = omega.ravel()
-    out = w - model.omega1 - model.lam ** 2 * _pv_integral(w, model) \
-        + 1j * np.pi * model.lam ** 2 * model.g2(w)
-    return complex(out[0]) if omega.ndim == 0 else out.reshape(omega.shape)
+    """alpha(omega + i0) on the cut, by the rule `alpha` uses off it; a
+    complex for a scalar omega, an array of omega's shape for an array."""
+    w = _on_cut(omega, model)
+    out = w - model.omega1 - model.lam ** 2 * _cut_integral(w, model)
+    return complex(out[0]) if np.ndim(omega) == 0 else out.reshape(np.shape(omega))
 
 
-def find_pole(model: FriedrichsModel, tol: float = 1e-12,
-              max_iter: int = 100) -> ResonancePole:
+def find_pole(model: FriedrichsModel) -> ResonancePole:
     """Newton iteration for the second-sheet zero near omega1."""
     g2 = float(model.g2(model.omega1))
     z = model.omega1 - 1j * np.pi * model.lam ** 2 * g2
     if model.lam == 0.0:
         return ResonancePole(model.omega1, 0.0, 0.0)
     h = 1e-6
-    for _ in range(max_iter):
+    for _ in range(_POLE_MAX_ITER):
         f = alpha(z, "second", model)
-        if abs(f) < tol:
+        if abs(f) < _POLE_TOL:
             break
         fp = (alpha(z + h, "second", model) - alpha(z - h, "second", model)) / (2 * h)
         step = f / fp
         z = z - step
-        if abs(step) < tol:
+        if abs(step) < _POLE_TOL:
             f = alpha(z, "second", model)
             break
     else:
@@ -172,10 +170,6 @@ def find_pole(model: FriedrichsModel, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # survival probability, two routes
 # ---------------------------------------------------------------------------
-
-_EPS = np.finfo(float).eps
-_SECULAR_MAX_ITER = 64
-
 
 def _mode_grid(model: FriedrichsModel, n_modes: int):
     """Midpoint omega grid of the discretized continuum and its couplings."""

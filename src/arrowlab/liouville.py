@@ -86,10 +86,8 @@ def is_self_associated(a: np.ndarray, atol=1e-12) -> bool:
     return bool(np.abs(a - super_associated(a)).max() < atol)
 
 
-def time_reversal_K(rho, real_basis: bool = True):
+def time_reversal_K(rho):
     """Time inversion: entrywise conjugation (valid in a real basis)."""
-    if not real_basis:
-        raise NotImplementedError("only the real-basis conjugation is implemented")
     return np.asarray(rho, dtype=complex).conj()
 
 

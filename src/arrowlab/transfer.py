@@ -20,7 +20,7 @@ from .maps import MapSpec
 # density evolution
 # ---------------------------------------------------------------------------
 
-def fp_renyi(d: Density, base: int | None = None) -> Density:
+def fp_renyi(d: Density) -> Density:
     """One transfer-operator step for the beta-adic shift.
 
     (U rho)(x) = (1/b) sum_r rho((x+r)/b); exact on the grid.  The result is
@@ -28,9 +28,7 @@ def fp_renyi(d: Density, base: int | None = None) -> Density:
     """
     if d.dims != 1:
         raise ValueError("fp_renyi needs a 1D density")
-    b = d.base if base is None else base
-    if b != d.base:
-        raise GridMismatchError("map base must match the grid base")
+    b = d.base
     k = d.levels[0]
     if k < 1:
         raise ValueError("level-0 grid cannot resolve preimages")
@@ -59,7 +57,7 @@ def _baker_cells_inverse(v: np.ndarray, b: int) -> np.ndarray:
     return v.reshape(nx, b, ny // b).transpose(1, 0, 2).reshape(b * nx, ny // b)
 
 
-def fp_baker(d: Density, base: int | None = None) -> Density:
+def fp_baker(d: Density) -> Density:
     """One baker transfer-operator step: exact cell rearrangement.
 
     A density on an (kx, ky) grid with kx >= 1 maps onto the (kx-1, ky+1)
@@ -71,13 +69,16 @@ def fp_baker(d: Density, base: int | None = None) -> Density:
     """
     if d.dims != 2:
         raise ValueError("fp_baker needs a 2D density")
-    b = d.base if base is None else base
-    if b != d.base:
+    return Density(d.base, _baker_cells(d.values, d.base), normalize=False)
+
+
+def _check_base(spec: MapSpec, grid) -> None:
+    if spec.base != grid.base:
         raise GridMismatchError("map base must match the grid base")
-    return Density(b, _baker_cells(d.values, b), normalize=False)
 
 
 def fp_step(spec: MapSpec, d: Density) -> Density:
+    _check_base(spec, d)
     return fp_renyi(d) if spec.kind == "renyi" else fp_baker(d)
 
 
@@ -93,6 +94,7 @@ def fp_iterate(spec: MapSpec, d: Density, t: int) -> Density:
 
 def preimage_set(spec: MapSpec, a: GridSet) -> GridSet:
     """S^-1(A), exactly representable one level finer."""
+    _check_base(spec, a)
     b = spec.base
     if spec.kind == "renyi":
         # level-(k+1) cell c maps onto level-k cell c mod b^k
@@ -102,6 +104,7 @@ def preimage_set(spec: MapSpec, a: GridSet) -> GridSet:
 
 def image_set(spec: MapSpec, a: GridSet) -> GridSet:
     """S(A) by exact forward cell enumeration."""
+    _check_base(spec, a)
     b = spec.base
     if spec.kind == "renyi":
         n = a.member.size
@@ -130,6 +133,8 @@ def counterimage_measure(spec: MapSpec, a: GridSet, t: int) -> float:
 
 def correlation(a: GridSet, b_set: GridSet, spec: MapSpec, t: int) -> float:
     """Mixing correlation mu(A cap S^-t(B)) - mu(A) mu(B), exactly."""
+    _check_base(spec, a)
+    _check_base(spec, b_set)
     pre = b_set
     for _ in range(t):
         pre = preimage_set(spec, pre)

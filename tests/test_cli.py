@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from arrowlab import cli
 from arrowlab.cli import main
 
 
@@ -42,6 +44,20 @@ def test_verify_voigt_reports_violation_bound(capsys):
     assert run(["verify", "voigt"]) == 0
     rep = json.loads(capsys.readouterr().out.strip())
     assert rep["worst_violation"] >= -1e-10
+
+
+def test_verify_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setitem(cli.SUITES, "voigt", lambda seed: {"suite": "voigt", "pass": False})
+    assert run(["verify", "voigt"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"suite": "voigt", "pass": False}
+
+
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.spectral, "biorthonormality_matrix",
+                        lambda n_max: np.eye(n_max + 1) + 1e-9)
+    assert run(["renyi-spectral", "--nmax", "4", "--t", "2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "arrowlab: numerical invariant failed: biorthonormality gram error\n"
 
 
 def test_renyi_spectral_artifacts(tmp_path):

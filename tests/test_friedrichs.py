@@ -38,6 +38,36 @@ def test_alpha_matches_adaptive_quadrature():
     assert abs(alpha(z, "first", MODEL) - oracle) < 1e-8
 
 
+def _alpha_second_quad(z, model):
+    """alpha_II(z) with the integral by adaptive quadrature, split at Re z."""
+    kw = dict(points=[z.real], limit=400, epsabs=1e-14, epsrel=1e-13)
+    r, _ = integrate.quad(lambda u: (np.exp(-u) / (z - u)).real, 0, model.omega_max, **kw)
+    i, _ = integrate.quad(lambda u: (np.exp(-u) / (z - u)).imag, 0, model.omega_max, **kw)
+    return (z - model.omega1 - model.lam ** 2 * complex(r, i)
+            + 2j * np.pi * model.lam ** 2 * np.exp(-z))
+
+
+@pytest.mark.parametrize("z", [1 - 0.0115j, 3 - 0.01j, 1 - 0.05j])
+def test_alpha_second_sheet_near_cut(z):
+    # the lam=0.1 pole sits at Im z = -0.0115; the integrand there varies on
+    # the scale |Im z|, far below the node spacing of the fixed rule
+    assert abs(alpha(z, "second", MODEL) - _alpha_second_quad(z, MODEL)) < 1e-11
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.15])
+def test_find_pole_against_adaptive_reference(lam):
+    model = FriedrichsModel(1.0, lam)
+    z, h = 1.0 - 1j * np.pi * lam ** 2 * np.exp(-1.0), 1e-7
+    for _ in range(20):
+        step = _alpha_second_quad(z, model) / (
+            (_alpha_second_quad(z + h, model) - _alpha_second_quad(z - h, model)) / (2 * h))
+        z -= step
+        if abs(step) < 1e-15:
+            break
+    gamma1 = -2.0 * z.imag
+    assert abs(find_pole(model).gamma1 - gamma1) / gamma1 < 1e-10
+
+
 def test_alpha_continuous_across_cut():
     for x in (0.5, 1.0, 3.0, 7.0):
         eps = 1e-10

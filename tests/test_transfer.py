@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from arrowlab.grids import Density, GridSet, interval_set, l1_norm, uniform_density
+from arrowlab.grids import (Density, GridMismatchError, GridSet, interval_set, l1_norm,
+                            uniform_density)
 from arrowlab.maps import MapSpec
 from arrowlab.transfer import (cesaro_average, classify_series,
                                convergence_report, correlation,
                                counterimage_measure, fp_baker, fp_iterate,
-                               fp_renyi, image_measure, image_set,
+                               fp_renyi, fp_step, image_measure, image_set,
                                preimage_set, weak_pairing)
 
 RENYI = MapSpec("renyi", 2)
@@ -50,6 +51,24 @@ def test_fp_renyi_base3():
     dev1 = np.abs(out.values - 1).mean()
     # staircase discretization shifts the L1 norm at O(n^-2)
     assert abs(dev1 / dev0 - 1 / 3) < 1e-4
+
+
+@pytest.mark.parametrize("base", [3, 4])
+def test_map_base_must_match_grid_base(base):
+    # base 4 on a base-2 grid reshapes without error, so only the check stops it
+    renyi, baker = MapSpec("renyi", base), MapSpec("baker", base)
+    d1, d2 = smooth_density(6), Density(2, np.ones((16, 16)))
+    a = interval_set(2, 6, 3, 17)
+    probe = np.ones(64)
+    calls = [lambda: fp_step(renyi, d1), lambda: fp_step(baker, d2),
+             lambda: fp_iterate(renyi, d1, 2), lambda: cesaro_average(renyi, d1, probe, 3),
+             lambda: convergence_report(renyi, d1, [probe], 4),
+             lambda: image_measure(renyi, a, 1), lambda: counterimage_measure(renyi, a, 1),
+             lambda: correlation(a, a, renyi, 0), lambda: correlation(a, a, renyi, 1),
+             lambda: image_set(renyi, a), lambda: preimage_set(renyi, a)]
+    for call in calls:
+        with pytest.raises(GridMismatchError, match="map base must match the grid base"):
+            call()
 
 
 def test_fp_baker_is_measure_preserving_permutation():

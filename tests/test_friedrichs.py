@@ -1,10 +1,15 @@
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import expi
 
-from arrowlab.friedrichs import (FriedrichsModel, _arrowhead_spectrum, alpha,
+from arrowlab.friedrichs import (_GL_NODES, FriedrichsModel, _arrowhead_spectrum,
+                                 _diff_factors, _secular_sums, alpha,
                                  boundary_alpha, damping_matrix, discretize,
                                  find_pole, lambda_lyapunov, mixed_state_decay,
                                  pole_approximation, pole_to_json,
@@ -74,6 +79,39 @@ def test_alpha_continuous_across_cut():
         top = alpha(x + 1j * eps, "first", MODEL)
         bot = alpha(x - 1j * eps, "second", MODEL)
         assert abs(top - bot) < 1e-8
+
+
+@pytest.mark.parametrize("x", [0.3, 1.0, 5.0])
+def test_alpha_second_sheet_on_cut_is_limit_from_below(x):
+    # alpha_II continues alpha_I from above, so alpha_II(x - i0) = alpha_I(x + i0)
+    on_cut = alpha(x, "second", MODEL)
+    assert abs(on_cut - alpha(x - 1e-12j, "second", MODEL)) < 1e-10
+    assert on_cut == boundary_alpha(x, MODEL)
+
+
+def _boundary_alpha_exact(w, model):
+    """alpha(w + i0) for the default g, from PV int e^-u/(w-u) = e^-w (Ei(w) - Ei(w-W))."""
+    pv = np.exp(-w) * (expi(w) - expi(w - model.omega_max))
+    return w - model.omega1 - model.lam ** 2 * (pv - 1j * np.pi * np.exp(-w))
+
+
+def test_cut_rule_on_and_next_to_its_own_nodes():
+    # omega on a Gauss-Legendre node makes the subtracted integrand 0/0 there,
+    # and one ulp off it the quotient cancels; all 400 nodes span several
+    # row chunks
+    nodes = 0.5 * MODEL.omega_max * (_GL_NODES + 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for w in (nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf)[1:],
+                  nodes + 1e-9, nodes[1:] - 1e-6):
+            got = boundary_alpha(w, MODEL)
+            assert np.abs(got - _boundary_alpha_exact(w, MODEL)).max() < 1e-12
+        one = boundary_alpha(nodes[100], MODEL)
+        pv = principal_value_integral(nodes[100], MODEL)
+    assert one == boundary_alpha(nodes, MODEL)[100]
+    assert abs(one - boundary_alpha(np.nextafter(nodes[100], np.inf), MODEL)) < 1e-12
+    exact = np.exp(-nodes[100]) * (expi(nodes[100]) - expi(nodes[100] - MODEL.omega_max))
+    assert abs(pv - exact) < 1e-12
 
 
 def test_alpha_rejects_cut_points():
@@ -183,6 +221,62 @@ def test_arrowhead_spectrum_matches_dense(lam, omega1, n):
     assert np.abs(weights - vec[0] ** 2)[sharp].max() <= 1e-12
     for i in np.flatnonzero(~sharp & (weights > 0)):
         assert abs(weights[i] - _decimal_weight(h, evals[i])) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_a=st.integers(1, 40), n_b=st.integers(1, 40), complex_a=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_diff_factors_product_is_the_broadcast_difference(n_a, n_b, complex_a, seed):
+    # each entry is rounded once either way, so the two agree bit for bit
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n_a) * 10.0 ** rng.uniform(-8, 8, n_a)
+    if complex_a:
+        a = a + 1j * rng.standard_normal(n_a) * 10.0 ** rng.uniform(-8, 8, n_a)
+    b = np.concatenate((a.real, rng.standard_normal(n_b) * 10.0 ** rng.uniform(-8, 8, n_b)))
+    left, right = _diff_factors(a, b)
+    assert np.array_equal(left[1:] @ right, a[1:, None] - b[None, :])
+
+
+def _secular_sums_masked(d, z2, origin, y, sign, j):
+    """The masked reductions the banded sums replaced: sum q, sum |q|, and
+    the sums of p over the left and over the right poles."""
+    out = np.empty((4, y.size))
+    cols = np.arange(d.size)
+    for s in range(0, y.size, 32):
+        r = slice(s, s + 32)
+        diff = np.subtract.outer(origin[r], d)
+        diff += (sign[r] * y[r])[:, None]
+        q = z2 / diff
+        p = np.divide(q, diff, out=diff)
+        left = cols < j[r, None]
+        out[0, r] = q.sum(1)
+        out[1, r] = 2.0 * q.sum(1, where=left) - out[0, r]
+        out[2, r] = p.sum(1, where=left)
+        out[3, r] = p.sum(1, where=~left)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2500), share=st.floats(0.001, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_banded_secular_sums_match_masked(n, share, seed):
+    rng = np.random.default_rng(seed)
+    d = np.cumsum(rng.exponential(size=n) * 10.0 ** rng.uniform(-3, 1))
+    z2 = rng.random(n) * 10.0 ** rng.uniform(-6, 0, n)
+    # an ascending, possibly sparse, set of roots, each at a random point of
+    # its gap and measured from either end of it; the end roots sit outside
+    j = np.flatnonzero(rng.random(n + 1) < share)
+    if j.size == 0:
+        j = np.array([int(rng.integers(n + 1))])
+    gap = np.append(np.diff(d, prepend=d[0] - 1.0), 1.0)
+    sign = np.where(j == 0, -1.0, np.where(j == n, 1.0, rng.choice([-1.0, 1.0], j.size)))
+    origin = np.where(sign > 0, d[np.maximum(j - 1, 0)], d[np.minimum(j, n - 1)])
+    y = rng.uniform(0.01, 0.99, j.size) * gap[j]
+    q_left, q_right, p_left, p_right = _secular_sums(d, z2, origin, y, sign, j)
+    q_sum, q_abs, p_left_ref, p_right_ref = _secular_sums_masked(d, z2, origin, y, sign, j)
+    assert np.all(np.abs(q_left + q_right - q_sum) <= 1e-13 * q_abs)
+    assert np.all(np.abs(q_left - q_right - q_abs) <= 1e-13 * q_abs)
+    assert np.all(np.abs(p_left - p_left_ref) <= 1e-13 * p_left_ref)
+    assert np.all(np.abs(p_right - p_right_ref) <= 1e-13 * p_right_ref)
 
 
 @pytest.mark.parametrize("t", [np.linspace(3.0, 700.0, 57), [-1e-4, 1e-4], [123.4]])

@@ -1,16 +1,23 @@
 """Experiment runner: one subcommand per experiment, CSV/JSON artifacts with
 config-echo headers, and `verify` suites for the theorem checks.
 
-Exit codes: 0 success, 1 usage error, 2 numerical-invariant failure.
-ARROWLAB_SEED overrides any configured seed.
+Each `cmd_*(args, rng)` computes and returns `(artifacts, checks)`: artifacts
+map a file name to its body, in write order; checks map a failure message to a
+bool written as `value <= bound`, so a NaN fails.  `main` alone resolves the
+seed (ARROWLAB_SEED wins), builds the generator, writes and gates.
+
+Exit codes: 0 success, 1 usage error (a NaN or infinite number included), 2
+numerical-invariant failure or a library routine that did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,27 +34,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class NumericalFailure(RuntimeError):
-    pass
+def _finite(text: str) -> float:
+    """argparse type for every float option: NaN and +-inf are usage errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
 
 
-def _seed(args) -> int:
-    env = os.environ.get("ARROWLAB_SEED")
-    return int(env) if env is not None else int(args.seed)
+def _header(args) -> str:
+    return "".join(f"# {k}={v}\n" for k, v in sorted(vars(args).items())
+                   if k != "func" and v is not None)
 
 
-def _header(args, seed: int) -> str:
-    items = {k: v for k, v in sorted(vars(args).items())
-             if k not in ("func",) and v is not None}
-    items["seed"] = seed
-    return "".join(f"# {k}={v}\n" for k, v in items.items())
+def _csv(header: str, rows) -> str:
+    """A CSV table; ints as written, any other value as repr(float)."""
+    lines = [header] + [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+                        for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _write(args, seed, name: str, body: str):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(_header(args, seed) + body)
-    print(f"wrote {out / name}")
+def _random_state(rng, n: int) -> np.ndarray:
+    """A random n x n Hermitian density matrix of unit trace."""
+    r = rng.random((n, n)) + 1j * rng.random((n, n))
+    rho = r + r.conj().T
+    return rho / np.trace(rho).real
 
 
 def _load_config(path: str) -> dict:
@@ -67,72 +81,50 @@ def _load_config(path: str) -> dict:
 # experiments
 # ---------------------------------------------------------------------------
 
-def cmd_renyi_evolve(args):
-    seed = _seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_renyi_evolve(args, rng):
     n = args.beta ** args.level
     x = (np.arange(n) + 0.5) / n
-    if args.density == "random":
-        v = rng.random(n) + 0.2
-    else:
-        v = 1.0 + 0.8 * (x - 0.5)
-    d = grids.Density(args.beta, v)
-    lines = ["t,l1_dev_from_uniform,l1_norm"]
-    cur = d
+    v = rng.random(n) + 0.2 if args.density == "random" else 1.0 + 0.8 * (x - 0.5)
+    cur = grids.Density(args.beta, v)
+    rows = []
     for t in range(args.t + 1):
-        lines.append(f"{t},{float(np.abs(cur.values - 1).mean())!r},{grids.l1_norm(cur)!r}")
+        rows.append((t, np.abs(cur.values - 1).mean(), grids.l1_norm(cur)))
         if t < args.t:
             cur = transfer.fp_renyi(cur)
-    _write(args, seed, "renyi_evolution.csv", "\n".join(lines) + "\n")
-    _write(args, seed, "renyi_final_density.csv", grids.density_to_csv(cur))
-    return EXIT_OK
+    return {"renyi_evolution.csv": _csv("t,l1_dev_from_uniform,l1_norm", rows),
+            "renyi_final_density.csv": grids.density_to_csv(cur)}, {}
 
 
-def cmd_baker_evolve(args):
-    seed = _seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_baker_evolve(args, rng):
     n = args.beta ** args.level
-    d = grids.Density(args.beta, rng.random((n, n)) + 0.2)
+    cur = grids.Density(args.beta, rng.random((n, n)) + 0.2)
     probe = np.tile(np.arange(n) < n // 2, (n, 1)).astype(float)
-    lines = ["t,l1_norm,l2_norm,weak_dev"]
-    cur = d
+    rows = []
     for t in range(args.t + 1):
-        l1 = grids.l1_norm(cur)
-        l2 = float(np.sqrt((cur.values ** 2).mean()))
-        wd = float(abs(transfer.weak_pairing(cur, probe) - probe.mean()))
-        lines.append(f"{t},{l1!r},{l2!r},{wd!r}")
+        rows.append((t, grids.l1_norm(cur), np.sqrt((cur.values ** 2).mean()),
+                     abs(transfer.weak_pairing(cur, probe) - probe.mean())))
         if t < args.t:
             cur = transfer.fp_baker(cur)
-    _write(args, seed, "baker_evolution.csv", "\n".join(lines) + "\n")
-    return EXIT_OK
+    return {"baker_evolution.csv": _csv("t,l1_norm,l2_norm,weak_dev", rows)}, {}
 
 
-def cmd_renyi_spectral(args):
-    seed = _seed(args)
-    _write(args, seed, "bernoulli_basis.csv", spectral.basis_table(args.nmax))
+def cmd_renyi_spectral(args, rng):
     # evolve a polynomial and log its basis coefficients per step
-    from fractions import Fraction
-
     p = spectral.reconstruct([Fraction(1)] + [Fraction(1, k + 1)
                                               for k in range(args.nmax)])
-    lines = ["t," + ",".join(f"c{n}" for n in range(args.nmax + 1))]
-    for t in range(args.t + 1):
-        cs = spectral.expand(spectral.evolve_spectral(p, args.beta, t),
-                             n_max=args.nmax)
-        lines.append(f"{t}," + ",".join(repr(float(c)) for c in cs))
-    _write(args, seed, "spectral_evolution.csv", "\n".join(lines) + "\n")
+    rows = [(t, *spectral.expand(spectral.evolve_spectral(p, args.beta, t), n_max=args.nmax))
+            for t in range(args.t + 1)]
     gram = spectral.biorthonormality_matrix(args.nmax)
     report = {"max_gram_error": float(np.abs(gram - np.eye(args.nmax + 1)).max()),
               "decay_rate": 1.0 / args.beta}
-    _write(args, seed, "spectral_report.json", json.dumps(report) + "\n")
-    if report["max_gram_error"] > 1e-10:
-        raise NumericalFailure("biorthonormality gram error")
-    return EXIT_OK
+    header = "t," + ",".join(f"c{n}" for n in range(args.nmax + 1))
+    return ({"bernoulli_basis.csv": spectral.basis_table(args.nmax),
+             "spectral_evolution.csv": _csv(header, rows),
+             "spectral_report.json": json.dumps(report) + "\n"},
+            {"biorthonormality gram error": report["max_gram_error"] <= 1e-10})
 
 
-def cmd_mixing_report(args):
-    seed = _seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_mixing_report(args, rng):
     spec = maps.MapSpec(args.map, args.beta)
     n = args.beta ** args.level
     if args.map == "renyi":
@@ -141,108 +133,80 @@ def cmd_mixing_report(args):
                   (np.arange(n) + 0.5) / n]
     else:
         d = grids.Density(args.beta, rng.random((n, n)) + 0.2)
-        probe = np.zeros((args.beta, 1))
-        probe[0, 0] = 1.0
-        probes = [probe]
+        probes = [np.eye(args.beta, 1)]  # the indicator of the first x-cell
     rep = transfer.convergence_report(spec, d, probes, args.tmax)
-    _write(args, seed, "mixing_report.json", json.dumps(rep, indent=1) + "\n")
-    return EXIT_OK
+    return {"mixing_report.json": json.dumps(rep, indent=1) + "\n"}, {}
 
 
-def cmd_entropy_suite(args):
-    seed = _seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_entropy_suite(args, rng):
     m = rng.random((args.n, args.n)) + 0.05
     m /= m.sum(axis=0)
     res = entropy.voigt_monotonicity_suite(grids.StochasticKernel(m),
-                                           trials=args.trials, seed=seed)
+                                           trials=args.trials, seed=args.seed)
     report = {"theorem": "conditional-entropy monotonicity",
               "trials": res["trials"],
               "worst_violation": res["worst_violation"],
               "pass": res["pass"]}
-    _write(args, seed, "entropy_suite.json", json.dumps(report) + "\n")
-    if not res["pass"]:
-        raise NumericalFailure("conditional-entropy monotonicity violated")
-    return EXIT_OK
+    return ({"entropy_suite.json": json.dumps(report) + "\n"},
+            {"conditional-entropy monotonicity violated": res["pass"]})
 
 
-def cmd_dephase(args):
-    seed = _seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_dephase(args, rng):
     w = np.sort(rng.random(args.n)) * args.n
-    r = rng.random((args.n, args.n)) + 1j * rng.random((args.n, args.n))
-    rho0 = r + r.conj().T
-    rho0 /= np.trace(rho0).real
+    rho0 = _random_state(rng, args.n)
     obs = rng.random((args.n, args.n))
     obs = obs + obs.T
     star = liouville.expectation(liouville.diagonal_part(rho0), obs).real
-    lines = ["T,time_avg,diag_value,abs_dev"]
+    rows = []
     for big_t in np.linspace(args.tmax / 10, args.tmax, 10):
         avg = liouville.dephase_cesaro(rho0, w, obs, big_t).real
-        lines.append(f"{float(big_t)!r},{avg!r},{star!r},{abs(avg - star)!r}")
-    _write(args, seed, "dephase_cesaro.csv", "\n".join(lines) + "\n")
-    return EXIT_OK
+        rows.append((big_t, avg, star, abs(avg - star)))
+    return {"dephase_cesaro.csv": _csv("T,time_avg,diag_value,abs_dev", rows)}, {}
 
 
-def cmd_friedrichs(args):
+def cmd_friedrichs(args, rng):
     if args.n_times < 1:
         raise ValueError("--n-times must be at least 1")
-    seed = _seed(args)
     model = friedrichs.FriedrichsModel(omega1=args.omega1, lam=args.lam)
     t = np.linspace(0.0, args.t_max, args.n_times)
     rep = friedrichs.survival_probability(model, t, n_modes=args.n_modes)
-    _write(args, seed, "survival.csv", friedrichs.survival_to_csv(rep))
-    pole = rep["pole"]
-    _write(args, seed, "pole.json", friedrichs.pole_to_json(pole, model) + "\n")
     unflagged = ~rep["flagged"]
     diff = np.abs(rep["p_oracle"][unflagged] - rep["p_quadrature"][unflagged])
-    if diff.max() > 1e-3:
-        raise NumericalFailure("two-path survival disagreement")
-    return EXIT_OK
+    return ({"survival.csv": friedrichs.survival_to_csv(rep),
+             "pole.json": friedrichs.pole_to_json(rep["pole"], model) + "\n"},
+            {"two-path survival disagreement": diff.max() <= 1e-3})
 
 
-def cmd_lambda_lyapunov(args):
-    seed = _seed(args)
-    rng = np.random.default_rng(seed)
+def cmd_lambda_lyapunov(args, rng):
     z = rng.random(args.n) * 3 - 0.5j * rng.random(args.n)
-    r = rng.random((args.n, args.n)) + 1j * rng.random((args.n, args.n))
-    rho = r + r.conj().T
-    rho /= np.trace(rho).real
+    rho = _random_state(rng, args.n)
     t = np.linspace(0, args.t_max, 200)
     y = friedrichs.lambda_lyapunov(z, rho, t)
-    lines = ["t,Y"] + [f"{float(tt)!r},{float(yy)!r}" for tt, yy in zip(t, y)]
-    _write(args, seed, "lambda_lyapunov.csv", "\n".join(lines) + "\n")
-    if np.any(np.diff(y) > 1e-12):
-        raise NumericalFailure("Lyapunov functional increased")
-    return EXIT_OK
+    return ({"lambda_lyapunov.csv": _csv("t,Y", zip(t, y))},
+            {"Lyapunov functional increased": np.diff(y).max() <= 1e-12})
 
 
-def cmd_cosmo_gap(args):
-    seed = _seed(args)
+def cmd_cosmo_gap(args, rng):
     params = cosmo.CosmoParams(t0=1.0, temp0=args.t0_temp, omega1=args.omega1,
                                gamma=args.gamma_t0)
     t_grid = np.geomspace(0.01, 1e4, 200)
-    _write(args, seed, "gap.csv", cosmo.gap_to_csv(params, t_grid))
-    _write(args, seed, "roots.json", cosmo.roots_to_json(params) + "\n")
     roots = cosmo.critical_times(params)
-    if roots["times"] and max(roots["residuals"]) > 1e-10:
-        raise NumericalFailure("critical-time root residual")
-    return EXIT_OK
+    return ({"gap.csv": cosmo.gap_to_csv(params, t_grid),
+             "roots.json": cosmo.roots_to_json(params) + "\n"},
+            {"critical-time root residual": max(roots.get("residuals", [0.0])) <= 1e-10})
 
 
-def cmd_boost(args):
-    seed = _seed(args)
+def cmd_boost(args, rng):
     state = cosmo.ThermoState(v=args.v, p=args.p, e=args.e, q=args.q,
                               s=args.s, t=args.temp)
     b = cosmo.boost_thermo(state, args.u)
-    out = {"u": args.u,
-           "boosted": {"v": b.v, "p": b.p, "e": b.e, "q": b.q,
-                       "s": b.s, "t": b.t}}
+    out = json.dumps({"u": args.u,
+                      "boosted": {"v": b.v, "p": b.p, "e": b.e, "q": b.q,
+                                  "s": b.s, "t": b.t}})
     if args.out:
-        _write(args, seed, "boost.json", json.dumps(out) + "\n")
-    else:
-        print(json.dumps(out))
-    return EXIT_OK
+        return {"boost.json": out + "\n"}, {}
+    print(out)
+    return {}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +234,12 @@ def _suite_superop(seed):
                       for _ in range(4))
         ab = liouville.super_product(a, b)
         cd = liouville.super_product(c, d)
-        worst = max(worst, float(np.abs(
-            liouville.super_compose(ab, cd)
-            - liouville.super_product(a @ c, d @ b)).max()))
-        worst = max(worst, float(np.abs(
-            liouville.super_associated(ab)
-            - liouville.super_product(b.conj().T, a.conj().T)).max()))
-        worst = max(worst, float(np.abs(
-            liouville.super_transpose(liouville.super_associated(ab))
-            - liouville.super_adjoint(ab)).max()))
+        for lhs, rhs in ((liouville.super_compose(ab, cd), liouville.super_product(a @ c, d @ b)),
+                         (liouville.super_associated(ab),
+                          liouville.super_product(b.conj().T, a.conj().T)),
+                         (liouville.super_transpose(liouville.super_associated(ab)),
+                          liouville.super_adjoint(ab))):
+            worst = max(worst, float(np.abs(lhs - rhs).max()))
     return {"suite": "superop", "worst_violation": worst,
             "pass": bool(worst < 1e-12)}
 
@@ -329,15 +290,14 @@ SUITES = {"voigt": _suite_voigt, "superop": _suite_superop,
           "lyapunov": _suite_lyapunov}
 
 
-def cmd_verify(args):
-    seed = _seed(args)
+def cmd_verify(args, rng):
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    ok = True
+    checks = {}
     for name in names:
-        rep = SUITES[name](seed)
+        rep = SUITES[name](args.seed)
         print(json.dumps(rep))
-        ok = ok and rep["pass"]
-    return EXIT_OK if ok else EXIT_NUMERIC
+        checks[f"{name} suite"] = rep["pass"]
+    return {}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -350,90 +310,69 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
     p.commands = sub.choices
 
-    def common(sp):
+    def command(name, func, out="required"):
+        """A subcommand taking `--seed`, and `--out` unless out is None."""
+        sp = sub.add_parser(name)
+        sp.set_defaults(func=func)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", required=True)
+        if out:
+            sp.add_argument("--out", required=out == "required")
+        return sp
 
-    sp = sub.add_parser("renyi-evolve")
+    sp = command("renyi-evolve", cmd_renyi_evolve)
     sp.add_argument("--beta", type=int, default=2)
     sp.add_argument("--level", type=int, default=10)
     sp.add_argument("--t", type=int, default=8)
     sp.add_argument("--density", choices=("random", "linear"), default="random")
-    common(sp)
-    sp.set_defaults(func=cmd_renyi_evolve)
 
-    sp = sub.add_parser("baker-evolve")
+    sp = command("baker-evolve", cmd_baker_evolve)
     sp.add_argument("--beta", type=int, default=2)
     sp.add_argument("--level", type=int, default=4)
     sp.add_argument("--t", type=int, default=8)
-    common(sp)
-    sp.set_defaults(func=cmd_baker_evolve)
 
-    sp = sub.add_parser("renyi-spectral")
+    sp = command("renyi-spectral", cmd_renyi_spectral)
     sp.add_argument("--beta", type=int, default=2)
     sp.add_argument("--nmax", type=int, default=8)
     sp.add_argument("--t", type=int, default=10)
-    common(sp)
-    sp.set_defaults(func=cmd_renyi_spectral)
 
-    sp = sub.add_parser("mixing-report")
+    sp = command("mixing-report", cmd_mixing_report)
     sp.add_argument("--map", choices=("renyi", "baker"), default="renyi")
     sp.add_argument("--beta", type=int, default=2)
     sp.add_argument("--level", type=int, default=8)
     sp.add_argument("--tmax", type=int, default=8)
-    common(sp)
-    sp.set_defaults(func=cmd_mixing_report)
 
-    sp = sub.add_parser("entropy-suite")
+    sp = command("entropy-suite", cmd_entropy_suite)
     sp.add_argument("--n", type=int, default=8)
     sp.add_argument("--trials", type=int, default=500)
-    common(sp)
-    sp.set_defaults(func=cmd_entropy_suite)
 
-    sp = sub.add_parser("dephase")
+    sp = command("dephase", cmd_dephase)
     sp.add_argument("--n", type=int, default=6)
-    sp.add_argument("--tmax", type=float, default=200.0)
-    common(sp)
-    sp.set_defaults(func=cmd_dephase)
+    sp.add_argument("--tmax", type=_finite, default=200.0)
 
-    sp = sub.add_parser("friedrichs")
-    sp.add_argument("--omega1", type=float, default=1.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    sp = command("friedrichs", cmd_friedrichs)
+    sp.add_argument("--omega1", type=_finite, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=_finite, default=0.1)
     sp.add_argument("--n-modes", type=int, default=2000)
-    sp.add_argument("--t-max", type=float, default=400.0)
+    sp.add_argument("--t-max", type=_finite, default=400.0)
     sp.add_argument("--n-times", type=int, default=201)
-    common(sp)
-    sp.set_defaults(func=cmd_friedrichs)
 
-    sp = sub.add_parser("lambda-lyapunov")
+    sp = command("lambda-lyapunov", cmd_lambda_lyapunov)
     sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--t-max", type=float, default=50.0)
-    common(sp)
-    sp.set_defaults(func=cmd_lambda_lyapunov)
+    sp.add_argument("--t-max", type=_finite, default=50.0)
 
-    sp = sub.add_parser("cosmo-gap")
-    sp.add_argument("--omega1", type=float, default=1.5)
-    sp.add_argument("--t0-temp", type=float, default=1.0)
-    sp.add_argument("--gamma-t0", type=float, default=0.1)
-    common(sp)
-    sp.set_defaults(func=cmd_cosmo_gap)
+    sp = command("cosmo-gap", cmd_cosmo_gap)
+    sp.add_argument("--omega1", type=_finite, default=1.5)
+    sp.add_argument("--t0-temp", type=_finite, default=1.0)
+    sp.add_argument("--gamma-t0", type=_finite, default=0.1)
 
-    sp = sub.add_parser("boost")
-    sp.add_argument("--u", type=float, required=True)
-    sp.add_argument("--v", type=float, default=1.0)
-    sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--e", type=float, default=1.0)
-    sp.add_argument("--q", type=float, default=0.0)
-    sp.add_argument("--s", type=float, default=1.0)
-    sp.add_argument("--temp", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out")
-    sp.set_defaults(func=cmd_boost)
+    sp = command("boost", cmd_boost, out="optional")
+    sp.add_argument("--u", type=_finite, required=True)
+    for name, default in (("--v", 1.0), ("--p", 1.0), ("--e", 1.0), ("--q", 0.0),
+                          ("--s", 1.0), ("--temp", 1.0)):
+        sp.add_argument(name, type=_finite, default=default)
 
-    sp = sub.add_parser("verify")
+    sp = command("verify", cmd_verify, out=None)
     sp.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_verify)
     return p
 
 
@@ -470,13 +409,24 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except NumericalFailure as exc:
+        args.seed = int(os.environ.get("ARROWLAB_SEED", args.seed))
+        artifacts, checks = args.func(args, np.random.default_rng(args.seed))
+        for name, body in artifacts.items():
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text(_header(args) + body)
+            print(f"wrote {out / name}")
+    except RuntimeError as exc:  # a library routine that did not converge
         print(f"arrowlab: numerical invariant failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:
         print(f"arrowlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    failed = [msg for msg, ok in checks.items() if not ok]
+    if failed:
+        print(f"arrowlab: numerical invariant failed: {failed[0]}", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ Units: c = hbar = k_B = 1; times in units of t0 unless stated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,32 +144,17 @@ def entropy_gap_rate(t, params: CosmoParams):
     return out if out.ndim else float(out)
 
 
-def _cubic(u, a_coef, b_coef):
-    return u ** 3 - a_coef * u + b_coef
-
-
-def _bisect(f, lo, hi, tol=1e-14, max_iter=200):
-    flo = f(lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0 or hi - lo < tol * max(1.0, abs(mid)):
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def critical_times(params: CosmoParams) -> dict:
     """Zeros of the gap rate via the substitution u = (t0/t)^(1/3).
 
     The rate vanishes where u^3 - A u + B = 0 with A = 2 omega1/(3 T0) and
     B = gamma t0.  For 0 < B < 2(A/3)^(3/2) there are two positive roots:
     the larger u is the early minimum t_cr1, the smaller the late maximum
-    t_cr2.  Returns exact bisection roots plus the small/large-root
-    asymptotics.
+    t_cr2.  Returns the exact roots plus the small/large-root asymptotics.
+
+    Viete's trigonometric form gives the largest root and the negative one
+    without cancellation; the small root is -B/(u_big u_neg) from the product
+    of the three roots, so it keeps its relative accuracy as B -> 0.
     """
     a_coef = 2.0 * params.omega1 / (3.0 * params.temp0)
     b_coef = params.gamma * params.t0
@@ -182,13 +168,12 @@ def critical_times(params: CosmoParams) -> dict:
     }
     if disc <= 0:
         return out
-    u_star = np.sqrt(a_coef / 3.0)
-    f = lambda u: _cubic(u, a_coef, b_coef)
-    u_small = _bisect(f, 0.0, u_star)            # f(0)=B>0, f(u*)<0
-    hi = u_star
-    while f(hi) < 0:
-        hi *= 2
-    u_big = _bisect(f, u_star, hi)
+    u_star = math.sqrt(a_coef / 3.0)
+    # cos(3 phi) = -B/(2 u*^3), in (-1, 0); clamp the rounding at disc -> 0+
+    phi = math.acos(max(-1.0, -b_coef / (2.0 * u_star ** 3))) / 3.0
+    u_big = 2.0 * u_star * math.cos(phi)
+    u_neg = -2.0 * u_star * math.cos(phi - math.pi / 3.0)
+    u_small = -b_coef / (u_big * u_neg)
     out["roots_u"] = [u_small, u_big]
     # larger u = earlier time
     out["times"] = [params.t0 / u_big ** 3, params.t0 / u_small ** 3]

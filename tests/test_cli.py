@@ -167,3 +167,47 @@ def test_friedrichs_rejects_empty_sizes(tmp_path, capsys, flag):
     assert run(["friedrichs", flag, "0", "--out", str(out)]) == 1
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+def test_verify_failure_prints_one_line(monkeypatch, capsys):
+    monkeypatch.setitem(cli.SUITES, "voigt", lambda seed: {"suite": "voigt", "pass": False})
+    assert run(["verify", "voigt"]) == 2
+    assert capsys.readouterr().err == "arrowlab: numerical invariant failed: voigt suite\n"
+
+
+def test_nan_check_fails(tmp_path, monkeypatch, capsys):
+    # a NaN residual must fail its `value <= bound` gate, not slip past `>`
+    monkeypatch.setattr(cli.spectral, "biorthonormality_matrix",
+                        lambda n_max: np.full((n_max + 1, n_max + 1), np.nan))
+    assert run(["renyi-spectral", "--nmax", "4", "--t", "2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "arrowlab: numerical invariant failed: biorthonormality gram error\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [["boost", "--u", "0.6", "--temp="],
+                                  ["cosmo-gap", "--omega1="],
+                                  ["lambda-lyapunov", "--t-max="],
+                                  ["--config", "{cfg}", "dephase"]])
+def test_non_finite_options_exit_1(tmp_path, capsys, argv, value):
+    # `--flag=value`, because argparse reads a bare `-inf` as an option
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"tmax={value}\n")
+    argv = [a.replace("{cfg}", str(cfg)) for a in argv]
+    if argv[-1].endswith("="):
+        argv[-1] += value
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(out)])
+    assert exc.value.code == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "1e3"], ["--omega1", "1e300"]])
+def test_friedrichs_non_convergence_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "d"
+    assert run(["friedrichs", *flags, "--n-modes", "50", "--t-max", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("arrowlab: numerical invariant failed: ")
+    assert not out.exists()

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arrowlab.cosmo import (CosmoParams, ThermoState, blackbody_comoving_entropy,
                             boost_thermo, boost_work, comoving_entropy_rate,
@@ -103,6 +105,17 @@ def test_critical_times_reference_case():
     assert max(r["residuals"]) < 1e-10
     assert abs(t1 - r["asymptotic_1"]) / t1 < 0.25
     assert abs(t2 - r["asymptotic_2"]) / t2 < 0.25
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega1=st.floats(0.1, 10.0), gamma=st.floats(1e-3, 1.0), temp0=st.floats(0.1, 10.0))
+def test_critical_times_are_roots_of_the_rate(omega1, gamma, temp0):
+    p = CosmoParams(omega1=omega1, gamma=gamma, temp0=temp0)
+    r = critical_times(p)
+    assume(r["discriminant"] > 0)
+    t1, t2 = r["times"]
+    assert 0 < t1 < t2
+    assert max(abs(entropy_gap_rate(t, p)) for t in (t1, t2)) < 1e-12
 
 
 def test_no_roots_above_discriminant():

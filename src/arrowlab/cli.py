@@ -101,7 +101,7 @@ def cmd_baker_evolve(args, rng):
     probe = np.tile(np.arange(n) < n // 2, (n, 1)).astype(float)
     rows = []
     for t in range(args.t + 1):
-        rows.append((t, grids.l1_norm(cur), np.sqrt((cur.values ** 2).mean()),
+        rows.append((t, grids.l1_norm(cur), np.sqrt((cur._period ** 2).mean()),
                      abs(transfer.weak_pairing(cur, probe) - probe.mean())))
         if t < args.t:
             cur = transfer.fp_baker(cur)

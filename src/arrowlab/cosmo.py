@@ -158,12 +158,17 @@ def critical_times(params: CosmoParams) -> dict:
     """
     a_coef = 2.0 * params.omega1 / (3.0 * params.temp0)
     b_coef = params.gamma * params.t0
-    # local minimum of the cubic at u = sqrt(A/3)
-    disc = 2.0 * (a_coef / 3.0) ** 1.5 - b_coef
+    try:
+        # local minimum of the cubic at u = sqrt(A/3)
+        disc = 2.0 * (a_coef / 3.0) ** 1.5 - b_coef
+        asymptotic = [params.t0 * (1.0 / a_coef) ** 1.5, params.t0 * (a_coef / b_coef) ** 3]
+    except ArithmeticError:  # a float power overflows, or A underflowed to 0
+        asymptotic = [math.inf]
+    if not all(map(math.isfinite, [a_coef, b_coef, *asymptotic])):
+        raise ValueError(f"cubic coefficients A={a_coef!r}, B={b_coef!r} out of float range")
     out = {
         "A": a_coef, "B": b_coef, "discriminant": disc,
-        "asymptotic_1": params.t0 * (1.0 / a_coef) ** 1.5,
-        "asymptotic_2": params.t0 * (a_coef / b_coef) ** 3,
+        "asymptotic_1": asymptotic[0], "asymptotic_2": asymptotic[1],
         "roots_u": [], "times": [],
     }
     if disc <= 0:

@@ -30,7 +30,7 @@ def _hc_vec(rv: np.ndarray, sv: np.ndarray) -> float:
 
 def gibbs_entropy(d: Density) -> float:
     """H(rho) = -integral rho ln rho = H_C(rho|1); <= 0 on the unit-volume space."""
-    v = d.values
+    v = d._period  # one period has the mean of every tiling of it
     if abs(v.mean() - 1.0) > 1e-9:
         raise ValueError("density must be normalized")
     return _hc_vec(v, np.ones_like(v))

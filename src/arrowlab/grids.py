@@ -18,7 +18,9 @@ nonlinear functionals (conditional entropy), the disjointness check of a
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +50,14 @@ def _check_level(n: int, base: int) -> int:
 class _BetaGrid:
     """Grid geometry shared by `Density` and `GridSet`.
 
-    Subclasses provide `base`, the per-cell array `_cells` and `_with_cells`,
-    which wraps a replacement array of the same kind.
+    Subclasses provide `base`, the stored cell array `_cells` (a density's
+    one period) and `_with_cells`, which wraps a replacement array of the
+    same kind; `shape` is the grid's full shape.
     """
+
+    @property
+    def shape(self) -> tuple:
+        return self._cells.shape
 
     @property
     def dims(self) -> int:
@@ -58,53 +65,79 @@ class _BetaGrid:
 
     @property
     def levels(self) -> tuple:
-        return tuple(_check_level(n, self.base) for n in self._cells.shape)
+        return tuple(_check_level(n, self.base) for n in self.shape)
 
     @property
     def cell_volume(self) -> float:
-        return 1.0 / self._cells.size
+        return 1.0 / math.prod(self.shape)
 
     def refined(self, axis: int = 0, extra_levels: int = 1):
         """Exactly refine the grid along one axis (cells replicated)."""
         return self._with_cells(np.repeat(self._cells, self.base ** extra_levels, axis=axis))
 
 
-@dataclass(frozen=True)
+def _tile_last(arr: np.ndarray, reps: int) -> np.ndarray:
+    """`arr` repeated `reps` times along its last axis; `arr` itself for one."""
+    if reps == 1:
+        return arr
+    return np.repeat(arr[..., None, :], reps, axis=-2).reshape(*arr.shape[:-1], -1)
+
+
+@dataclass(frozen=True, init=False)
 class Density(_BetaGrid):
     """Non-negative piecewise-constant probability density on a beta-adic grid.
 
-    values has shape (base**kx,) in 1D or (base**kx, base**ky) in 2D.
+    values has shape (base**kx,) in 1D or (base**kx, base**ky) in 2D.  It is
+    stored as one period along the last axis and a tile count (above 1 only
+    for an x-exhausted baker image) and built on first access; `shape` is in
+    Python ints, so b**66 cells stay exact.
     """
 
     base: int
-    values: np.ndarray
-    normalize: bool = True
+    _period: np.ndarray
+    _tiles: int
 
-    def __post_init__(self):
-        if self.base < 2:
+    def __init__(self, base: int, values, normalize: bool = True):
+        if base < 2:
             raise ValueError("base must be >= 2")
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(values, dtype=float)
         if v.ndim not in (1, 2):
             raise ValueError("values must be 1D or 2D")
         for n in v.shape:
-            _check_level(n, self.base)
+            _check_level(n, base)
         # NaN fails both comparisons; -inf and negatives fail the first, +inf the second
         if not (v.min() >= 0 and v.max() < np.inf):
             raise ValueError("density values must be finite and non-negative")
-        if self.normalize:
+        if normalize:
             total = v.mean()  # sum(v)*cell_volume, cell_volume = 1/size
             if total <= 0:
                 raise ValueError("cannot normalize an all-zero density")
             v = v / total
         v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "_period", v)
+        object.__setattr__(self, "_tiles", 1)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        v = _tile_last(self._period, self._tiles)
+        v.setflags(write=False)
+        return v
+
+    @property
+    def shape(self) -> tuple:
+        *rest, n = self._period.shape
+        return (*rest, n * self._tiles)
 
     @property
     def _cells(self) -> np.ndarray:
-        return self.values
+        return self._period
 
-    def _with_cells(self, v: np.ndarray) -> "Density":
-        return Density(self.base, v, normalize=False)
+    def _with_cells(self, v: np.ndarray, tiles: int | None = None) -> "Density":
+        """The density with period `v`, tiled `tiles` times (default: as self)."""
+        d = Density(self.base, v, normalize=False)
+        object.__setattr__(d, "_tiles", self._tiles if tiles is None else tiles)
+        return d
 
     @property
     def level(self) -> int:
@@ -117,7 +150,7 @@ class Density(_BetaGrid):
         """Integrate out y; exact for 2D grid densities."""
         if self.dims != 2:
             raise ValueError("marginal_x needs a 2D density")
-        return Density(self.base, self.values.mean(axis=1), normalize=False)
+        return Density(self.base, self._period.mean(axis=1), normalize=False)
 
 
 def uniform_density(base: int, level: int, dims: int = 1) -> Density:
@@ -161,11 +194,11 @@ def interval_set(base: int, level: int, lo_cell: int, hi_cell: int) -> GridSet:
     return GridSet(base, m)
 
 
-def _nested(a: np.ndarray, b: np.ndarray):
-    """Raise unless the two cell arrays lie on nested grids."""
-    if a.ndim != b.ndim:
+def _nested(sa: tuple, sb: tuple):
+    """Raise unless the two grid shapes are nested."""
+    if len(sa) != len(sb):
         raise GridMismatchError("dimension mismatch")
-    for na, nb in zip(a.shape, b.shape):
+    for na, nb in zip(sa, sb):
         if min(na, nb) < 1 or max(na, nb) % min(na, nb):
             raise GridMismatchError(f"incompatible grid sizes {na} vs {nb}")
 
@@ -178,16 +211,20 @@ def _refine_to(arr: np.ndarray, shape) -> np.ndarray:
     return arr
 
 
-def _reduce_to(arr: np.ndarray, shape) -> np.ndarray:
-    """Block means of `arr` on the coarser nested grid `shape`.
+def _reduce_to(arr: np.ndarray, shape, tiles: int = 1) -> np.ndarray:
+    """Block means on the coarser nested grid `shape` of `arr` tiled `tiles`
+    times along its last axis.
 
-    Returns `arr` itself when the grids agree; otherwise one reshape-mean,
-    which reads `arr` in place and allocates only the result.
+    A block that spans whole periods has the period's mean; smaller blocks
+    are the period's own block means, tiled.  The one reshape-mean reads
+    `arr` in place, and `arr` itself is returned when it is already `shape`.
     """
-    if arr.shape == shape:
-        return arr
-    blocks = [k for n, m in zip(arr.shape, shape) for k in (m, n // m)]
-    return arr.reshape(blocks).mean(axis=tuple(range(1, 2 * arr.ndim, 2)))
+    per = max(shape[-1] // tiles, 1)  # cells of `shape` per period
+    pshape = (*shape[:-1], per)
+    if arr.shape != pshape:
+        blocks = [k for n, m in zip(arr.shape, pshape) for k in (m, n // m)]
+        arr = arr.reshape(blocks).mean(axis=tuple(range(1, 2 * arr.ndim, 2)))
+    return _tile_last(arr, shape[-1] // per)
 
 
 def on_common_grid(a: np.ndarray, b: np.ndarray, base: int):
@@ -198,7 +235,7 @@ def on_common_grid(a: np.ndarray, b: np.ndarray, base: int):
     finer grid.  Linear pairings use `on_coarse_grid`, which allocates
     nothing of the fine grid's size.
     """
-    _nested(a, b)
+    _nested(a.shape, b.shape)
     shape = tuple(map(max, a.shape, b.shape))
     return _refine_to(a, shape), _refine_to(b, shape)
 
@@ -211,21 +248,27 @@ def on_coarse_grid(a: np.ndarray, b: np.ndarray):
     products of per-axis blocks.  An operand that is the coarser one on every
     axis is returned as is.
     """
-    _nested(a, b)
-    shape = tuple(map(min, a.shape, b.shape))
-    return _reduce_to(a, shape), _reduce_to(b, shape)
+    return _on_coarse_grid(a, 1, b)
+
+
+def _on_coarse_grid(a: np.ndarray, tiles: int, b: np.ndarray):
+    """`on_coarse_grid` for `a` tiled `tiles` times along its last axis."""
+    sa = (*a.shape[:-1], a.shape[-1] * tiles)
+    _nested(sa, b.shape)
+    shape = tuple(map(min, sa, b.shape))
+    return _reduce_to(a, shape, tiles), _reduce_to(b, shape)
 
 
 def l1_norm(d: Density) -> float:
     """Integral of |density| over the space."""
-    return float(np.abs(d.values).mean())
+    return float(np.abs(d._period).mean())
 
 
 def measure_of_set(d: Density, a: GridSet) -> float:
     """Probability mass the density assigns to the set."""
     if d.base != a.base:
         raise GridMismatchError("base mismatch")
-    dv, am = on_coarse_grid(d.values, a.member)
+    dv, am = _on_coarse_grid(d._period, d._tiles, a.member)
     return float((dv * am).mean())
 
 
@@ -331,7 +374,7 @@ def coarse_values(d: Density, p: Partition) -> np.ndarray:
     for c in p.cells:
         mm = c.member
         if mm.shape not in reduced:
-            reduced[mm.shape] = on_coarse_grid(d.values, mm)[0]
+            reduced[mm.shape] = _on_coarse_grid(d._period, d._tiles, mm)[0]
         dv = reduced[mm.shape]
         w = _reduce_to(mm, dv.shape)
         vals.append((dv * w).sum() / w.sum())

@@ -136,6 +136,8 @@ def dephase_cesaro(rho0, spectrum, obs, big_t: float, n_steps: int = 2000):
         raise ValueError("spectrum length and observable must match the matrix dimension")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if not np.isfinite(float(big_t) * float(np.ptp(w))):  # Python floats: inf, no warning
+        raise ValueError("the largest phase T * max|w_i - w_j| must be finite")
     ts = (np.arange(n_steps) + 0.5) * (big_t / n_steps)
     d = (w[:, None] - w[None, :]).ravel()
     a = (rho0 * obs.T).ravel()

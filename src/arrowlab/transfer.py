@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Density, GridSet, GridMismatchError, on_coarse_grid
+from .grids import Density, GridSet, GridMismatchError, _on_coarse_grid, on_coarse_grid
 from .grids import on_common_grid  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .maps import MapSpec
 
@@ -65,10 +65,14 @@ def fp_baker(d: Density) -> Density:
     unchanged (the map preserves Lebesgue measure), so every L^p norm is
     conserved exactly.  With kx = 0 the density depends on y alone and the
     step is rho(y) -> rho(b*y mod 1): the (0, ky) grid maps onto (0, ky+1)
-    with every value repeated b times, which again conserves every L^p norm.
+    with the row tiled b times, which again conserves every L^p norm; that
+    step keeps the stored period and multiplies its tile count by b.  A tiled
+    density with kx >= 1 (from `refined(axis=0)`) is stepped on its full array.
     """
     if d.dims != 2:
         raise ValueError("fp_baker needs a 2D density")
+    if d.shape[0] == 1:
+        return d._with_cells(d._period, d._tiles * d.base)
     return Density(d.base, _baker_cells(d.values, d.base), normalize=False)
 
 
@@ -150,7 +154,7 @@ def correlation(a: GridSet, b_set: GridSet, spec: MapSpec, t: int) -> float:
 def weak_pairing(d: Density, g: np.ndarray) -> float:
     """(rho, g) = integral of rho*g; g given as cell values on a matching grid."""
     g = np.asarray(g, dtype=float)
-    dv, gv = on_coarse_grid(d.values, g)
+    dv, gv = _on_coarse_grid(d._period, d._tiles, g)
     return float((dv * gv).mean())
 
 
@@ -216,7 +220,7 @@ def convergence_report(spec: MapSpec, d: Density, probes, t_max: int):
         pr = [weak_pairing(cur, g) for g in probes]
         pairings.append(pr)
         weak_dev.append(max(abs(p - m) for p, m in zip(pr, means)))
-        strong_dev.append(float(np.abs(cur.values - 1.0).mean()))
+        strong_dev.append(float(np.abs(cur._period - 1.0).mean()))
         if t < t_max:
             cur = fp_step(spec, cur)
     pairings = np.array(pairings)

@@ -5,6 +5,8 @@ exercise the exact spectral algebra, the convergence trichotomy, entropy
 monotonicity, the resonance model, and the cosmological gap.
 """
 
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,16 +128,17 @@ def _quadrants():
     return Partition(tuple(cells))
 
 
-def test_criterion_06_coarse_grained_second_law():
-    part = _quadrants()
+def _second_law_run(part, t_max, seed=6, trajectories=20):
+    """Quadrant entropies of baker trajectories from coarse-information preparations.
+
+    The x-profile is resolved by the partition (finer unresolved x-structure
+    surfaces into y later and produces transient entropy dips, which the
+    second law does not forbid for such states).
+    """
     w = part.weights
-    rng = np.random.default_rng(6)
-    t_max = 20
-    for _ in range(20):
-        # coarse-information preparations: the x-profile is resolved by the
-        # partition (finer unresolved x-structure surfaces into y later and
-        # produces transient entropy dips, which the second law does not
-        # forbid for such states)
+    rng = np.random.default_rng(seed)
+    runs = []
+    for _ in range(trajectories):
         v = rng.random((2, 4)) + 0.05
         v /= v.mean()
         d = Density(2, v, normalize=False)
@@ -145,8 +148,34 @@ def test_criterion_06_coarse_grained_second_law():
             hs.append(float(-(w * vals * np.log(vals)).sum()))
             if t < t_max:
                 d = fp_baker(d)
+        runs.append(hs)
+    return runs
+
+
+def test_criterion_06_coarse_grained_second_law():
+    for hs in _second_law_run(_quadrants(), t_max=20):
         assert all(b >= a - 1e-12 for a, b in zip(hs[1:], hs[2:]))
         assert hs[-1] > -1e-6
+
+
+def test_second_law_to_t60_in_time_and_memory_flat_in_t():
+    # at t = 60 the state has 2**62 nominal cells: one y-period and a tile count
+    part = _quadrants()
+    start = time.perf_counter()
+    runs = _second_law_run(part, t_max=60)
+    assert time.perf_counter() - start < 1.0
+    for hs in runs:
+        assert all(b >= a - 1e-12 for a, b in zip(hs[1:], hs[2:]))
+        assert hs[-1] > -1e-6
+    peaks = {}
+    for t_max in (20, 60):
+        tracemalloc.start()
+        try:
+            _second_law_run(part, t_max, trajectories=1)
+            peaks[t_max] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[60] <= peaks[20] + 64 * 1024
 
 
 def test_criterion_07_friedrichs_two_path_and_regimes():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,4 +211,24 @@ def test_friedrichs_non_convergence_exit_2(tmp_path, capsys, flags):
     assert run(["friedrichs", *flags, "--n-modes", "50", "--t-max", "5", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("arrowlab: numerical invariant failed: ")
+    assert not out.exists()
+
+
+def test_baker_evolve_runs_past_int64_cells(tmp_path):
+    # at t = 60 the density has 2**62 nominal cells, stored as one period and a tile count
+    assert run(["baker-evolve", "--level", "2", "--t", "60", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "baker_evolution.csv").read_text().splitlines()
+    assert rows[-1].startswith("60,")
+
+
+@pytest.mark.parametrize("argv", [["cosmo-gap", "--omega1", "1e300"],
+                                  ["cosmo-gap", "--gamma-t0", "1e-300"],
+                                  ["cosmo-gap", "--t0-temp", "1e-300"],
+                                  ["dephase", "--n", "6", "--tmax", "1e308"]])
+def test_out_of_range_options_exit_1_without_warning(tmp_path, capsys, argv):
+    out = tmp_path / "d"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv + ["--out", str(out)]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()

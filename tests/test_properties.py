@@ -13,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrowlab.grids import (Density, GridSet, Partition, coarse_values, measure_of_set,
-                            on_common_grid)
+from arrowlab.entropy import gibbs_entropy
+from arrowlab.grids import (Density, GridSet, Partition, coarse_values, l1_norm,
+                            measure_of_set, on_common_grid)
 from arrowlab.maps import MapSpec
 from arrowlab.transfer import (correlation, fp_baker, fp_renyi, image_set, preimage_set,
                                weak_pairing)
@@ -144,6 +145,48 @@ def test_fp_baker_on_exhausted_x_tiles_y(case):
     out = fp_baker(d)
     assert np.array_equal(out.values, fp_baker(d.refined(axis=0)).values)
     assert np.array_equal(out.values, np.tile(d.values, (1, base)))
+
+
+@SETTINGS
+@given(nested_grids(dims=2), st.integers(0, 5))
+def test_tiled_baker_image_matches_its_full_array(case, extra):
+    # t runs past x-exhaustion by up to 5 steps, so the image is a period tiled b**extra times
+    base, (ds, os_), rng = case
+    d = random_density(base, ds, rng)
+    out = d
+    for _ in range(d.levels[0] + extra):
+        out = fp_baker(out)
+    assert np.array_equal(out.values, np.tile(out._period, (1, out._tiles)))
+    full = Density(base, out.values, normalize=False)
+    assert full.shape == out.shape and full.levels == out.levels
+    p, a, g = random_partition(base, os_, rng), random_set(base, os_, rng), rng.random(os_)
+    close = lambda f: np.testing.assert_allclose(f(out), f(full), rtol=1e-15, atol=0)
+    close(lambda x: coarse_values(x, p))
+    close(lambda x: weak_pairing(x, g))
+    close(lambda x: measure_of_set(x, a))
+    close(l1_norm)
+    # H sums terms of both signs, so its error is relative to the integral of |rho ln rho|
+    v = out.values
+    assert abs(gibbs_entropy(out) - gibbs_entropy(full)) <= 1e-15 * np.abs(v * np.log(v)).mean()
+    close(lambda x: x.marginal_x().values)
+    for axis in (0, 1):
+        assert np.array_equal(out.refined(axis).values, full.refined(axis).values)
+    # kx >= 1 again: the step reads the full array, whose image is not periodic
+    assert np.array_equal(fp_baker(out.refined(0)).values, fp_baker(full.refined(0)).values)
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+def test_baker_x_marginal_is_the_renyi_factor(base, t, seed):
+    # the x-coarse-grained baker is the Renyi map (Antoniou & Tasaki 1992); the two sides
+    # average the same cells in a different order, which moved values near 1 by up to 3 ulps
+    d = random_density(base, (base ** 4, base ** 2), np.random.default_rng(seed))
+    baker, renyi = d, d.marginal_x()
+    for _ in range(t):
+        baker, renyi = fp_baker(baker), fp_renyi(renyi)
+    lhs = baker.marginal_x().values
+    np.testing.assert_allclose(np.repeat(lhs, base ** 4 // lhs.size), renyi.values,
+                               rtol=0, atol=4 * np.finfo(float).eps)
 
 
 def _renyi_gather(v, b):

@@ -44,6 +44,8 @@ class FriedrichsModel:
             raise ValueError("omega1 must be positive")
         if self.omega_max is None:
             self.omega_max = 20.0 * self.omega1
+        if self.omega1 >= self.omega_max:
+            raise ValueError("omega1 must lie inside the band, below omega_max")
 
     def g2(self, w):
         return np.asarray(self.g(w)) ** 2

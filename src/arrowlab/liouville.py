@@ -3,7 +3,9 @@ time reversal, Liouvillian, dephasing evolution for a discrete spectrum,
 and a direct-sum Wigner transform on a position grid.
 
 A superoperator is a 4-index array A[i,j,k,l] acting as
-(A rho)_ij = sum_kl A[i,j,k,l] rho_kl.
+(A rho)_ij = sum_kl A[i,j,k,l] rho_kl.  Read as an (n^2, n^2) matrix on
+Liouville space (row ij, column kl, rho flattened to the n^2-vector rho_kl),
+it makes composition and application BLAS matrix products of reshaped views.
 """
 
 from __future__ import annotations
@@ -50,14 +52,27 @@ def super_product(alpha, beta) -> np.ndarray:
     return np.einsum("ik,lj->ijkl", alpha, beta)
 
 
+def _liouville_dim(a, b, b_ndim: int) -> int:
+    """n when `a` is (n, n, n, n) and `b` has `b_ndim` axes, all of length n."""
+    n = a.shape[0] if a.ndim == 4 else -1
+    if a.shape != (n,) * 4 or b.shape != (n,) * b_ndim:
+        want = ",".join("n" * b_ndim)
+        raise ValueError(f"shapes {a.shape} and {b.shape} are not (n,n,n,n) and ({want}) with one n")
+    return n
+
+
 def super_apply(a: np.ndarray, rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    return np.einsum("ijkl,kl->ij", a, rho)
+    """A rho: the (n^2, n^2) matrix of A times rho as an n^2-vector."""
+    a, rho = np.asarray(a), np.asarray(rho, dtype=complex)
+    n = _liouville_dim(a, rho, 2)
+    return (a.reshape(n * n, n * n) @ rho.reshape(n * n)).reshape(n, n)
 
 
 def super_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Operator product AB on Liouville space."""
-    return np.einsum("ijmn,mnkl->ijkl", a, b)
+    """Operator product AB on Liouville space: one (n^2, n^2) matrix product."""
+    a, b = np.asarray(a), np.asarray(b)
+    n = _liouville_dim(a, b, 4)
+    return (a.reshape(n * n, n * n) @ b.reshape(n * n, n * n)).reshape(n, n, n, n)
 
 
 def super_identity(n: int) -> np.ndarray:

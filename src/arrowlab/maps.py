@@ -2,14 +2,13 @@
 factor projection, classical time reversal, and recurrence statistics.
 
 Float orbits of x -> beta*x mod 1 collapse after ~53 steps in binary, so the
-orbit utilities also run in exact rational arithmetic (Fraction), where the
-map is exact.
+orbit utilities also run in exact rational arithmetic (Fraction, or integer
+numerators over a known denominator), where the map is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -121,44 +120,39 @@ def reversibility_check(x0, omega: float = 1.0, t: float = 2 * np.pi,
 # recurrence statistics
 # ---------------------------------------------------------------------------
 
-def _random_fraction(rng, denom: int) -> Fraction:
-    return Fraction(int(rng.integers(0, denom)), denom)
-
-
 def recurrence_stats(spec: MapSpec, cells, level: int, n_samples: int,
                      max_t: int, seed: int = 0):
     """Fraction of points sampled in a beta-adic set that return by max_t.
 
     `cells` is a boolean membership array at `level` (1D for Renyi, 2D for
-    baker).  Sampling and iteration use exact rationals with an odd prime
-    denominator so long orbits do not collapse in floating point.
+    baker).  Points are sampled as x = X/P (and y = Y/P for the baker) with the
+    odd prime P = 2^61 - 1 and iterated exactly on integer numerators, so long
+    orbits do not collapse in floating point: a step is r, X = divmod(b X, P),
+    and y = Y/D takes Y += r D, D *= b.  Renyi points carry a dummy y = 0/1.
     """
     cells = np.asarray(cells, dtype=bool)
     if not cells.any():
         raise ValueError("recurrence set is empty")
     rng = np.random.default_rng(seed)
-    denom = (1 << 61) - 1  # Mersenne prime, coprime to any reasonable base
-    n_cells = spec.base ** level
-
-    def in_set(pt):
-        if spec.kind == "renyi":
-            return bool(cells[int(pt * n_cells)])
-        return bool(cells[int(pt[0] * n_cells), int(pt[1] * n_cells)])
+    p = (1 << 61) - 1  # Mersenne prime, coprime to any reasonable base
+    b, n_cells = spec.base, spec.base ** level
+    renyi = spec.kind == "renyi"
+    if cells.shape != (n_cells,) * (1 if renyi else 2):
+        raise ValueError(f"cells of shape {cells.shape} do not match {spec.kind} level {level}")
+    grid, n_y = (cells[:, None], 1) if renyi else (cells, n_cells)
 
     returned = np.zeros(max_t + 1)
     total = 0
     while total < n_samples:
-        if spec.kind == "renyi":
-            pt = _random_fraction(rng, denom)
-        else:
-            pt = (_random_fraction(rng, denom), _random_fraction(rng, denom))
-        if not in_set(pt):
+        x = int(rng.integers(0, p))
+        y, d = (0, 1) if renyi else (int(rng.integers(0, p)), p)
+        if not grid[x * n_cells // p, y * n_y // d]:
             continue
         total += 1
-        x = pt
         for t in range(1, max_t + 1):
-            x = renyi_step(x, spec.base) if spec.kind == "renyi" else baker_step(x, spec.base)
-            if in_set(x):
+            r, x = divmod(b * x, p)
+            y, d = y + r * d, d * b
+            if grid[x * n_cells // p, y * n_y // d]:
                 returned[t:] += 1
                 break
     return {

@@ -28,6 +28,16 @@ def test_alpha_free_theory():
         assert alpha(z, "first", m0) == z - 1.0
 
 
+def test_model_rejects_level_outside_the_band():
+    # above the band the "pole" would be a bound state: gamma1 ~ 1e-12
+    for omega1, omega_max in ((25.0, 20.0), (20.0, 20.0), (1e3, 20.0)):
+        with pytest.raises(ValueError, match="inside the band"):
+            FriedrichsModel(omega1=omega1, lam=0.1, omega_max=omega_max)
+    with pytest.raises(ValueError, match="positive"):
+        FriedrichsModel(omega1=0.0, lam=0.1)
+    assert FriedrichsModel(omega1=19.0, lam=0.1, omega_max=20.0).omega_max == 20.0
+
+
 def test_alpha_matches_adaptive_quadrature():
     z = 1.0 + 1.0j
 

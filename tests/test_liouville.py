@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from arrowlab import liouville
@@ -41,6 +43,68 @@ def test_super_product_composition_rule():
         lhs = super_compose(super_product(a, b), super_product(g, d))
         rhs = super_product(a @ g, d @ b)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((2, 3, 2, 3), (2, 3, 2, 3)),   # (n, m, n, m): no one n
+    ((2, 2, 2, 2), (3, 3, 3, 3)),   # two dimensions
+    ((4, 4), (4, 4)),               # 16 entries, reshapeable to (2, 2, 2, 2)
+    ((16,), (16,)),
+    ((2, 2, 2, 2, 1), (2, 2, 2, 2)),
+    ((2, 2, 2, 2), (4, 4)),          # (n^2, n^2) but not (n, n, n, n)
+    ((2, 2, 2, 2), (2, 2)),          # a matrix is not a superoperator
+])
+def test_super_compose_rejects_shapes(a_shape, b_shape):
+    with pytest.raises(ValueError, match=r"^shapes .* are not \(n,n,n,n\) and \(n,n,n,n\)"):
+        super_compose(np.ones(a_shape), np.ones(b_shape))
+
+
+@pytest.mark.parametrize("a_shape, rho_shape", [
+    ((2, 3, 2, 3), (2, 3)),
+    ((2, 2, 2, 2), (3, 3)),
+    ((2, 2, 2, 2), (4,)),           # rho flattened already
+    ((2, 2, 2, 2), (2, 2, 1)),
+    ((4, 4), (2, 2)),
+    ((2, 2, 2, 2), (2, 2, 2, 2)),   # a superoperator is not a matrix
+])
+def test_super_apply_rejects_shapes(a_shape, rho_shape):
+    with pytest.raises(ValueError, match=r"^shapes .* are not \(n,n,n,n\) and \(n,n\)"):
+        super_apply(np.ones(a_shape), np.ones(rho_shape))
+
+
+def _einsum_compose(a, b):
+    return np.einsum("ijmn,mnkl->ijkl", a, b)
+
+
+def _einsum_apply(a, rho):
+    return np.einsum("ijkl,kl->ij", a, rho)
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2 ** 32 - 1))
+def test_superoperator_algebra_properties(n, seed):
+    local = np.random.default_rng(seed)
+
+    def c(*shape):
+        return local.random(shape) - 0.5 + 1j * (local.random(shape) - 0.5)
+
+    x, y, rho = c(n, n, n, n), c(n, n, n, n), c(n, n)
+    assert _close(super_compose(x, y), _einsum_compose(x, y))
+    assert _close(super_apply(x, rho), _einsum_apply(x, rho))
+    # products of non-contiguous views (transposes) read the same entries
+    assert _close(super_compose(super_adjoint(x), super_transpose(y)),
+                  _einsum_compose(super_adjoint(x), super_transpose(y)))
+
+    a, b, g, d = c(n, n), c(n, n), c(n, n), c(n, n)
+    ab = super_product(a, b)
+    assert _close(super_compose(ab, super_product(g, d)), super_product(a @ g, d @ b))
+    assert _close(super_apply(ab, rho), a @ rho @ b)
+    assert _close(super_associated(ab), super_product(b.conj().T, a.conj().T))
+    assert np.array_equal(super_transpose(super_associated(x)), super_adjoint(x))
 
 
 def test_conjugation_maps():

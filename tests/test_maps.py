@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowlab.maps import (MapSpec, baker_inverse_step, baker_step,
                            factor_project, orbit, oscillator_flow,
@@ -62,6 +64,18 @@ def test_recurrence_renyi_full_set_returns():
     assert res["return_fraction"][-1] > 0.95
 
 
+@pytest.mark.parametrize("kind, cells, level", [
+    ("renyi", [True, False, False, False], 1),  # a level-2 set read at level 1
+    ("renyi", [True, False], 2),
+    ("renyi", [[True, False], [False, False]], 1),
+    ("baker", [True, False], 1),
+    ("baker", [[True, False]], 1),
+])
+def test_recurrence_rejects_cells_off_the_level_grid(kind, cells, level):
+    with pytest.raises(ValueError, match="do not match"):
+        recurrence_stats(MapSpec(kind, 2), np.array(cells), level, n_samples=5, max_t=3)
+
+
 def test_recurrence_baker_left_half_one_step():
     # the left half-square maps onto the bottom half; only the left-bottom
     # quarter of it is back inside after one step
@@ -70,3 +84,69 @@ def test_recurrence_baker_left_half_one_step():
     res = recurrence_stats(MapSpec("baker", 2), cells, 1,
                            n_samples=2000, max_t=1, seed=11)
     assert abs(res["return_fraction"][1] - 0.5) < 0.05
+
+
+def _recurrence_reference(spec, cells, level, n_samples, max_t, seed):
+    """recurrence_stats as Fraction orbits of renyi_step / baker_step, drawing
+    x (then y) = k / (2^61 - 1) in the same order; also the largest y
+    denominator a baker orbit reached."""
+    rng = np.random.default_rng(seed)
+    denom = (1 << 61) - 1
+    n_cells = spec.base ** level
+    renyi = spec.kind == "renyi"
+
+    def draw():
+        return Fraction(int(rng.integers(0, denom)), denom)
+
+    def in_set(pt):
+        if renyi:
+            return bool(cells[int(pt * n_cells)])
+        return bool(cells[int(pt[0] * n_cells), int(pt[1] * n_cells)])
+
+    returned = np.zeros(max_t + 1)
+    total, y_denom = 0, 0
+    while total < n_samples:
+        pt = draw() if renyi else (draw(), draw())
+        if not in_set(pt):
+            continue
+        total += 1
+        for t in range(1, max_t + 1):
+            pt = renyi_step(pt, spec.base) if renyi else baker_step(pt, spec.base)
+            y_denom = y_denom if renyi else max(y_denom, pt[1].denominator)
+            if in_set(pt):
+                returned[t:] += 1
+                break
+    return total, returned / total, y_denom
+
+
+def _random_cells(kind, base, level, fill, cell_seed):
+    local = np.random.default_rng(cell_seed)
+    shape = (base ** level,) * (1 if kind == "renyi" else 2)
+    cells = local.random(shape) < fill
+    cells.flat[local.integers(cells.size)] = True  # never empty
+    return cells
+
+
+def _check_recurrence(kind, base, level, fill, cell_seed, n_samples, max_t, seed):
+    spec = MapSpec(kind, base)
+    cells = _random_cells(kind, base, level, fill, cell_seed)
+    res = recurrence_stats(spec, cells, level, n_samples=n_samples, max_t=max_t, seed=seed)
+    total, fraction, y_denom = _recurrence_reference(spec, cells, level, n_samples, max_t, seed)
+    assert res["n_samples"] == total == n_samples
+    assert res["return_fraction"].tobytes() == fraction.tobytes()
+    return y_denom
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["renyi", "baker"]), st.integers(2, 5), st.integers(1, 2),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1), st.integers(1, 20),
+       st.integers(0, 30), st.integers(0, 2 ** 31 - 1))
+def test_recurrence_matches_fraction_orbits(kind, base, level, fill, cell_seed,
+                                            n_samples, max_t, seed):
+    _check_recurrence(kind, base, level, fill, cell_seed, n_samples, max_t, seed)
+
+
+def test_recurrence_baker_denominator_past_64_bits():
+    # one cell of 625: most orbits run all 30 steps, so D_y = P 5^t passes 2^64
+    y_denom = _check_recurrence("baker", 5, 2, 0.0, 3, 10, 30, 1)
+    assert y_denom > 2 ** 64

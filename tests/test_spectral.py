@@ -98,6 +98,14 @@ def test_gram_matrix_identity():
     assert np.abs(g - np.eye(9)).max() == 0.0
 
 
+def test_gram_matrix_identity_exact_to_n_max_20():
+    # the Gram rows in Fractions, before biorthonormality_matrix rounds them
+    for n in range(21):
+        row = expand(bernoulli_poly(n), 20)
+        assert all(type(c) is Fraction for c in row)
+        assert row == [Fraction(int(m == n)) for m in range(21)]
+
+
 def test_expand_reconstruct_roundtrip():
     p = Poly([Fraction(2), Fraction(-1, 2), Fraction(1, 3), Fraction(7, 4)])
     assert reconstruct(expand(p)) == p

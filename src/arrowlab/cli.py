@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import grids, maps, transfer, spectral, entropy, liouville, friedrichs, cosmo
+from . import grids, maps, transfer, spectral, entropy, liouville, friedrichs, cosmo, table
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,13 +48,6 @@ def _finite(text: str) -> float:
 def _header(args) -> str:
     return "".join(f"# {k}={v}\n" for k, v in sorted(vars(args).items())
                    if k != "func" and v is not None)
-
-
-def _csv(header: str, rows) -> str:
-    """A CSV table; ints as written, any other value as repr(float)."""
-    lines = [header] + [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
-                        for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _random_state(rng, n: int) -> np.ndarray:
@@ -88,10 +81,10 @@ def cmd_renyi_evolve(args, rng):
     cur = grids.Density(args.beta, v)
     rows = []
     for t in range(args.t + 1):
-        rows.append((t, np.abs(cur.values - 1).mean(), grids.l1_norm(cur)))
+        rows.append((t, cur.cell_mean(lambda v: np.abs(v - 1)), grids.l1_norm(cur)))
         if t < args.t:
             cur = transfer.fp_renyi(cur)
-    return {"renyi_evolution.csv": _csv("t,l1_dev_from_uniform,l1_norm", rows),
+    return {"renyi_evolution.csv": table.to_csv("t,l1_dev_from_uniform,l1_norm", rows),
             "renyi_final_density.csv": grids.density_to_csv(cur)}, {}
 
 
@@ -101,11 +94,11 @@ def cmd_baker_evolve(args, rng):
     probe = np.tile(np.arange(n) < n // 2, (n, 1)).astype(float)
     rows = []
     for t in range(args.t + 1):
-        rows.append((t, grids.l1_norm(cur), np.sqrt((cur._period ** 2).mean()),
-                     abs(transfer.weak_pairing(cur, probe) - probe.mean())))
+        rows.append((t, grids.l1_norm(cur), math.sqrt(cur.cell_mean(np.square)),
+                     abs(grids.weak_pairing(cur, probe) - probe.mean())))
         if t < args.t:
             cur = transfer.fp_baker(cur)
-    return {"baker_evolution.csv": _csv("t,l1_norm,l2_norm,weak_dev", rows)}, {}
+    return {"baker_evolution.csv": table.to_csv("t,l1_norm,l2_norm,weak_dev", rows)}, {}
 
 
 def cmd_renyi_spectral(args, rng):
@@ -119,7 +112,7 @@ def cmd_renyi_spectral(args, rng):
               "decay_rate": 1.0 / args.beta}
     header = "t," + ",".join(f"c{n}" for n in range(args.nmax + 1))
     return ({"bernoulli_basis.csv": spectral.basis_table(args.nmax),
-             "spectral_evolution.csv": _csv(header, rows),
+             "spectral_evolution.csv": table.to_csv(header, rows),
              "spectral_report.json": json.dumps(report) + "\n"},
             {"biorthonormality gram error": report["max_gram_error"] <= 1e-10})
 
@@ -161,7 +154,7 @@ def cmd_dephase(args, rng):
     for big_t in np.linspace(args.tmax / 10, args.tmax, 10):
         avg = liouville.dephase_cesaro(rho0, w, obs, big_t).real
         rows.append((big_t, avg, star, abs(avg - star)))
-    return {"dephase_cesaro.csv": _csv("T,time_avg,diag_value,abs_dev", rows)}, {}
+    return {"dephase_cesaro.csv": table.to_csv("T,time_avg,diag_value,abs_dev", rows)}, {}
 
 
 def cmd_friedrichs(args, rng):
@@ -182,7 +175,7 @@ def cmd_lambda_lyapunov(args, rng):
     rho = _random_state(rng, args.n)
     t = np.linspace(0, args.t_max, 200)
     y = friedrichs.lambda_lyapunov(z, rho, t)
-    return ({"lambda_lyapunov.csv": _csv("t,Y", zip(t, y))},
+    return ({"lambda_lyapunov.csv": table.to_csv("t,Y", zip(t, y))},
             {"Lyapunov functional increased": np.diff(y).max() <= 1e-12})
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .table import to_csv
+
 
 @dataclass(frozen=True)
 class ThermoState:
@@ -206,12 +208,10 @@ def regime_report(params: CosmoParams, t_grid) -> list:
 
 def gap_to_csv(params: CosmoParams, t_grid) -> str:
     labels = regime_report(params, t_grid)
-    lines = ["t,delta_s,rate,regime"]
-    for t, lab in zip(np.asarray(t_grid, dtype=float), labels):
-        t = float(t)
-        lines.append(f"{t!r},{entropy_gap(t, params)!r},"
-                     f"{entropy_gap_rate(t, params)!r},{lab}")
-    return "\n".join(lines) + "\n"
+    ts = map(float, np.asarray(t_grid, dtype=float))
+    return to_csv("t,delta_s,rate,regime",
+                  ((t, entropy_gap(t, params), entropy_gap_rate(t, params), lab)
+                   for t, lab in zip(ts, labels)))
 
 
 def roots_to_json(params: CosmoParams) -> str:

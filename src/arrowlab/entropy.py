@@ -18,22 +18,26 @@ NEG_INF = float("-inf")
 _ZERO = 1e-300  # below this a cell counts as empty for the 0*log(0) = 0 rule
 
 
+def _plnq(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p ln(p/q) per cell, with 0 ln 0 = 0."""
+    m = p > _ZERO
+    out = np.zeros_like(p)
+    out[m] = p[m] * np.log(p[m] / q[m])
+    return out
+
+
 def _hc_vec(rv: np.ndarray, sv: np.ndarray) -> float:
     """H_C of two cell arrays on one grid; NEG_INF where rv > 0 = sv."""
-    m = rv > _ZERO
-    if np.any(m & (sv <= _ZERO)):
+    if np.any((rv > _ZERO) & (sv <= _ZERO)):
         return NEG_INF
-    out = np.zeros_like(rv)
-    out[m] = rv[m] * np.log(rv[m] / sv[m])
-    return float(-out.mean())
+    return float(-_plnq(rv, sv).mean())
 
 
 def gibbs_entropy(d: Density) -> float:
     """H(rho) = -integral rho ln rho = H_C(rho|1); <= 0 on the unit-volume space."""
-    v = d._period  # one period has the mean of every tiling of it
-    if abs(v.mean() - 1.0) > 1e-9:
+    if abs(d.cell_mean() - 1.0) > 1e-9:
         raise ValueError("density must be normalized")
-    return _hc_vec(v, np.ones_like(v))
+    return -d.cell_mean(lambda v: _plnq(v, np.ones_like(v)))
 
 
 def conditional_entropy(rho: Density, sigma: Density):
@@ -114,6 +118,8 @@ def voigt_monotonicity_suite(kernel: StochasticKernel, trials: int = 100,
     The theorem says the difference is >= 0 for any column-stochastic K, with
     equality for permutations.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
     n = kernel.n
     worst = np.inf

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .table import to_csv
+
 
 def _default_g(w):
     return np.exp(-np.asarray(w) / 2.0)
@@ -431,29 +433,21 @@ def survival_probability(model: FriedrichsModel, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("t must be non-negative")
-    if model.lam == 0.0:
-        ones = np.ones_like(t_grid)
-        return {"t": t_grid, "p_oracle": ones, "p_quadrature": ones.copy(),
-                "p_pole": ones.copy(), "flagged": np.zeros_like(t_grid, bool)}
-    p_a = np.abs(survival_amplitude_oracle(model, t_grid, n_modes)) ** 2
-    p_b = np.abs(survival_amplitude_quadrature(model, t_grid, n_points)) ** 2
-    pole = find_pole(model)
-    return {
-        "t": t_grid,
-        "p_oracle": p_a,
-        "p_quadrature": p_b,
-        "p_pole": pole_approximation(pole, t_grid),
-        "flagged": t_grid > 0.5 * recurrence_time(model, n_modes),
-        "pole": pole,
-    }
+    pole = find_pole(model)  # before the quadrature: a level out of float range stops here
+    if model.lam == 0.0:  # the uncoupled level does not decay
+        p_a, p_b = np.ones_like(t_grid), np.ones_like(t_grid)
+        flagged = np.zeros_like(t_grid, bool)
+    else:
+        p_a = np.abs(survival_amplitude_oracle(model, t_grid, n_modes)) ** 2
+        p_b = np.abs(survival_amplitude_quadrature(model, t_grid, n_points)) ** 2
+        flagged = t_grid > 0.5 * recurrence_time(model, n_modes)
+    return {"t": t_grid, "p_oracle": p_a, "p_quadrature": p_b,
+            "p_pole": pole_approximation(pole, t_grid), "flagged": flagged, "pole": pole}
 
 
 def survival_to_csv(report) -> str:
-    lines = ["t,P_oracle,P_quadrature,P_pole"]
-    for t, a, b, c in zip(report["t"], report["p_oracle"],
-                          report["p_quadrature"], report["p_pole"]):
-        lines.append(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(c)!r}")
-    return "\n".join(lines) + "\n"
+    return to_csv("t,P_oracle,P_quadrature,P_pole",
+                  zip(report["t"], report["p_oracle"], report["p_quadrature"], report["p_pole"]))
 
 
 def pole_to_json(pole: ResonancePole, model: FriedrichsModel) -> str:
@@ -535,6 +529,8 @@ def lambda_lyapunov(spectrum, rho0: np.ndarray, t_grid) -> np.ndarray:
     if rho0.shape != gam.shape:
         raise ValueError("state dimension must match the spectrum")
     t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(t_grid < 0):
+        raise ValueError("t must be non-negative: the Lambda-evolution runs forward only")
     w = np.abs(rho0) ** 2
     return np.array([float(np.sum(w * np.exp(-gam * t))) for t in t_grid])
 

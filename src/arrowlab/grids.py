@@ -2,13 +2,13 @@
 and coarse-graining projectors.
 
 The phase space is [0,1) (1D) or the unit square (2D), total volume 1.
-Densities store per-cell values; measures multiply by cell volume.  2D grids
-may be anisotropic (different refinement level per axis) because the baker
-dynamics trades x-resolution for y-resolution one level per step.
+Densities store one period of per-cell values and a tile count, which only
+this module reads; measures multiply by cell volume.  2D grids may be
+anisotropic because the baker trades x- for y-resolution one level per step.
 
-Two grids of one base are nested axis by axis, so a linear pairing such as
-integral(f*g) is taken on the coarser size of each axis (`on_coarse_grid`):
-the finer operand is block-averaged there, which is exact because the other
+Two grids of one base are nested axis by axis, so the one linear pairing
+integral(u*g) (`pairing`) is taken on the coarser size of each axis: the
+finer operand is block-averaged there, which is exact because the other
 factor is constant on every block.  Arrays are replicated onto the common
 refinement (`on_common_grid`) only where a value per fine cell is needed:
 nonlinear functionals (conditional entropy), the disjointness check of a
@@ -17,12 +17,13 @@ nonlinear functionals (conditional entropy), the disjointness check of a
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .table import to_csv
 
 NORM_TOL = 1e-12
 
@@ -50,14 +51,17 @@ def _check_level(n: int, base: int) -> int:
 class _BetaGrid:
     """Grid geometry shared by `Density` and `GridSet`.
 
-    Subclasses provide `base`, the stored cell array `_cells` (a density's
-    one period) and `_with_cells`, which wraps a replacement array of the
-    same kind; `shape` is the grid's full shape.
+    Subclasses provide `base`, the stored cell array `_cells`, repeated
+    `_tiles` times along the last axis (a density's one period), and
+    `_with_cells`, which wraps a replacement array of the same kind.
     """
+
+    _tiles = 1
 
     @property
     def shape(self) -> tuple:
-        return self._cells.shape
+        *rest, n = self._cells.shape
+        return (*rest, n * self._tiles)
 
     @property
     def dims(self) -> int:
@@ -74,6 +78,11 @@ class _BetaGrid:
     def refined(self, axis: int = 0, extra_levels: int = 1):
         """Exactly refine the grid along one axis (cells replicated)."""
         return self._with_cells(np.repeat(self._cells, self.base ** extra_levels, axis=axis))
+
+    def _on_coarser(self, shape) -> np.ndarray:
+        """Block means of the cells on the coarser of this grid and `shape`, axis by axis."""
+        _nested(self.shape, shape)
+        return _reduce_to(self._cells, tuple(map(min, self.shape, shape)), self._tiles)
 
 
 def _tile_last(arr: np.ndarray, reps: int) -> np.ndarray:
@@ -125,19 +134,22 @@ class Density(_BetaGrid):
         return v
 
     @property
-    def shape(self) -> tuple:
-        *rest, n = self._period.shape
-        return (*rest, n * self._tiles)
-
-    @property
     def _cells(self) -> np.ndarray:
         return self._period
 
-    def _with_cells(self, v: np.ndarray, tiles: int | None = None) -> "Density":
-        """The density with period `v`, tiled `tiles` times (default: as self)."""
-        d = Density(self.base, v, normalize=False)
-        object.__setattr__(d, "_tiles", self._tiles if tiles is None else tiles)
+    def _with_cells(self, v: np.ndarray) -> "Density":
+        return Density(self.base, v, normalize=False).tiled(self._tiles)
+
+    def tiled(self, reps: int) -> "Density":
+        """The density repeated `reps` times along its last axis, stored as a tile count."""
+        d = Density(self.base, self._period, normalize=False)
+        object.__setattr__(d, "_tiles", self._tiles * reps)
         return d
+
+    def cell_mean(self, f=None) -> float:
+        """Mean over all cells of f(values) for an elementwise f (default: the
+        values); one period has the mean of every tiling of it."""
+        return float((self._period if f is None else f(self._period)).mean())
 
     @property
     def level(self) -> int:
@@ -232,44 +244,40 @@ def on_common_grid(a: np.ndarray, b: np.ndarray, base: int):
 
     Only for what needs a value per fine cell: a nonlinear functional of
     both arrays, a cell-by-cell set check, or a result that lives on the
-    finer grid.  Linear pairings use `on_coarse_grid`, which allocates
-    nothing of the fine grid's size.
+    finer grid.  Linear pairings use `pairing`, which allocates nothing
+    of the fine grid's size.
     """
     _nested(a.shape, b.shape)
     shape = tuple(map(max, a.shape, b.shape))
     return _refine_to(a, shape), _refine_to(b, shape)
 
 
-def on_coarse_grid(a: np.ndarray, b: np.ndarray):
-    """Reduce both arrays onto the coarser grid of each axis by block means.
+def pairing(u: _BetaGrid, g: np.ndarray) -> float:
+    """Integral of u*g for a density or set `u` and cell values `g` on a nested grid.
 
-    mean(a' * b') equals the integral of a*b on the common refinement: on each
-    axis one factor is constant over the other's blocks, and 2D blocks are
-    products of per-axis blocks.  An operand that is the coarser one on every
-    axis is returned as is.
+    Both are block-averaged onto the coarser size of each axis, where the mean
+    of the product is the integral: on each axis one factor is constant over
+    the other's blocks, and 2D blocks are products of per-axis blocks.
     """
-    return _on_coarse_grid(a, 1, b)
-
-
-def _on_coarse_grid(a: np.ndarray, tiles: int, b: np.ndarray):
-    """`on_coarse_grid` for `a` tiled `tiles` times along its last axis."""
-    sa = (*a.shape[:-1], a.shape[-1] * tiles)
-    _nested(sa, b.shape)
-    shape = tuple(map(min, sa, b.shape))
-    return _reduce_to(a, shape, tiles), _reduce_to(b, shape)
+    uv = u._on_coarser(g.shape)
+    return float((uv * _reduce_to(g, uv.shape)).mean())
 
 
 def l1_norm(d: Density) -> float:
     """Integral of |density| over the space."""
-    return float(np.abs(d._period).mean())
+    return d.cell_mean(np.abs)
 
 
 def measure_of_set(d: Density, a: GridSet) -> float:
     """Probability mass the density assigns to the set."""
     if d.base != a.base:
         raise GridMismatchError("base mismatch")
-    dv, am = _on_coarse_grid(d._period, d._tiles, a.member)
-    return float((dv * am).mean())
+    return pairing(d, a.member)
+
+
+def weak_pairing(d: Density, g) -> float:
+    """(rho, g) = integral of rho*g; g given as cell values on a nested grid."""
+    return pairing(d, np.asarray(g, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -280,8 +288,8 @@ class StochasticKernel:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("kernel must be a square matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError("kernel must be a non-empty square matrix")
         if not np.isfinite(m).all():
             raise ValueError("kernel entries must be finite")
         if np.any(m < 0):
@@ -374,7 +382,7 @@ def coarse_values(d: Density, p: Partition) -> np.ndarray:
     for c in p.cells:
         mm = c.member
         if mm.shape not in reduced:
-            reduced[mm.shape] = _on_coarse_grid(d._period, d._tiles, mm)[0]
+            reduced[mm.shape] = d._on_coarser(mm.shape)
         dv = reduced[mm.shape]
         w = _reduce_to(mm, dv.shape)
         vals.append((dv * w).sum() / w.sum())
@@ -383,13 +391,8 @@ def coarse_values(d: Density, p: Partition) -> np.ndarray:
 
 def density_to_csv(d: Density) -> str:
     """Serialize: header `dims,base,level`, then `cell_index,value` rows."""
-    buf = io.StringIO()
-    buf.write("dims,base,level\n")
-    buf.write(f"{d.dims},{d.base},{d.level}\n")
-    buf.write("cell_index,value\n")
-    for i, v in enumerate(d.values.ravel()):
-        buf.write(f"{i},{float(v)!r}\n")
-    return buf.getvalue()
+    return (to_csv("dims,base,level", [(d.dims, d.base, d.level)])
+            + to_csv("cell_index,value", enumerate(d.values.ravel())))
 
 
 def density_from_csv(text: str) -> Density:

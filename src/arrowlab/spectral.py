@@ -20,6 +20,8 @@ from numbers import Rational
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from .table import to_csv
+
 
 class Poly:
     """Polynomial with exact rational (int or Fraction) coefficients, low order first."""
@@ -175,7 +177,4 @@ def basis_table(n_max: int, n_points: int = 101) -> str:
     """CSV: x plus B_0..B_n sampled on a uniform grid."""
     xs = np.linspace(0.0, 1.0, n_points)
     cols = [xs] + [polyval(xs, bernoulli_poly(n).as_floats()) for n in range(n_max + 1)]
-    lines = ["x," + ",".join(f"B{n}" for n in range(n_max + 1))]
-    for row in zip(*cols):
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return to_csv("x," + ",".join(f"B{n}" for n in range(n_max + 1)), zip(*cols))

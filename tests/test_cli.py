@@ -214,6 +214,20 @@ def test_friedrichs_non_convergence_exit_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_friedrichs_uncoupled_level_does_not_decay(tmp_path):
+    # lambda = 0 takes the closed form: no decay, and the pole is omega1 itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["friedrichs", "--lambda", "0", "--n-modes", "50", "--t-max", "5",
+                    "--out", str(tmp_path)]) == 0
+    pole = json.loads((tmp_path / "pole.json").read_text().splitlines()[-1])
+    assert (pole["gamma1"], pole["beta1"], pole["lambda"]) == (0.0, 1.0, 0.0)
+    rows = [ln for ln in (tmp_path / "survival.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert rows[0] == "t,P_oracle,P_quadrature,P_pole"
+    assert {r.split(",", 1)[1] for r in rows[1:]} == {"1.0,1.0,1.0"}
+
+
 def test_baker_evolve_runs_past_int64_cells(tmp_path):
     # at t = 60 the density has 2**62 nominal cells, stored as one period and a tile count
     assert run(["baker-evolve", "--level", "2", "--t", "60", "--out", str(tmp_path)]) == 0
@@ -224,7 +238,10 @@ def test_baker_evolve_runs_past_int64_cells(tmp_path):
 @pytest.mark.parametrize("argv", [["cosmo-gap", "--omega1", "1e300"],
                                   ["cosmo-gap", "--gamma-t0", "1e-300"],
                                   ["cosmo-gap", "--t0-temp", "1e-300"],
-                                  ["dephase", "--n", "6", "--tmax", "1e308"]])
+                                  ["dephase", "--n", "6", "--tmax", "1e308"],
+                                  ["entropy-suite", "--n", "0"],
+                                  ["entropy-suite", "--trials", "0"],
+                                  ["lambda-lyapunov", "--t-max=-1"]])
 def test_out_of_range_options_exit_1_without_warning(tmp_path, capsys, argv):
     out = tmp_path / "d"
     with warnings.catch_warnings():

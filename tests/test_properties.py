@@ -176,6 +176,19 @@ def test_tiled_baker_image_matches_its_full_array(case, extra):
 
 
 @SETTINGS
+@given(nested_grids(count=1, dims=2), st.integers(0, 5))
+def test_cell_mean_of_tiled_baker_image_reads_its_full_array(case, extra):
+    base, (shape,), rng = case
+    out = random_density(base, shape, rng)
+    for _ in range(out.levels[0] + extra):
+        out = fp_baker(out)
+    for f in (np.abs, np.square, lambda v: np.abs(v - 1)):
+        ref = f(out.values).mean()
+        assert abs(out.cell_mean(f) - ref) <= 1e-15 * ref
+    assert abs(out.cell_mean() - out.values.mean()) <= 1e-15 * out.values.mean()
+
+
+@SETTINGS
 @given(st.integers(2, 5), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
 def test_baker_x_marginal_is_the_renyi_factor(base, t, seed):
     # the x-coarse-grained baker is the Renyi map (Antoniou & Tasaki 1992); the two sides

@@ -8,6 +8,7 @@ numerators over a known denominator), where the map is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,8 @@ def baker_step(p, base: int):
 
 
 def baker_inverse_step(p, base: int):
-    """Inverse baker step: (x,y) -> ((x + s)/b, b y - s), s = floor(b y)."""
-    x, y = p
-    if not (0 <= x < 1 and 0 <= y < 1):
-        raise ValueError("point must lie in the unit square")
-    s = int(base * y)
-    return ((x + s) / base, base * y - s)
+    """Inverse baker step S^-1 = R S R, with the time reversal R(x, y) = (y, x)."""
+    return baker_step(p[::-1], base)[::-1]
 
 
 def factor_project(p):
@@ -78,11 +75,14 @@ def orbit(x0, spec: MapSpec, n_steps: int):
 # toy reversible flow: harmonic oscillator with leapfrog
 # ---------------------------------------------------------------------------
 
-def _leapfrog(q, p, omega, t, dt):
-    """Integrate H = p^2/2 + omega^2 q^2/2 with the (time-reversible) leapfrog."""
-    n = int(round(abs(t) / dt))
-    h = dt if t >= 0 else -dt
-    w2 = omega * omega
+def oscillator_flow(x0, omega: float, t: float, dt: float = 1e-3):
+    """State at time t of H = p^2/2 + omega^2 q^2/2 by the time-reversible
+    leapfrog, in n = ceil(|t|/dt) equal steps (at least one) of h = t/n."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    q, p = x0
+    n = max(1, math.ceil(abs(t) / dt))
+    h, w2 = t / n, omega * omega
     p = p - 0.5 * h * w2 * q
     for _ in range(n - 1):
         q = q + h * p
@@ -92,23 +92,12 @@ def _leapfrog(q, p, omega, t, dt):
     return q, p
 
 
-def oscillator_flow(x0, omega: float, t: float, dt: float = 1e-3):
-    q, p = x0
-    if t == 0:
-        return (q, p)
-    return _leapfrog(q, p, omega, t, dt)
-
-
 def reversibility_check(x0, omega: float = 1.0, t: float = 2 * np.pi,
                         dt: float = 1e-3):
     """Forward-reverse-forward-reverse round trip distance from x0.
 
     A time-reversible integrator returns to the initial point up to round-off.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t == 0:
-        return 0.0
     p1 = oscillator_flow(x0, omega, t, dt)
     p2 = time_reverse(p1)
     p3 = oscillator_flow(p2, omega, t, dt)

@@ -49,14 +49,6 @@ def _baker_cells(v: np.ndarray, b: int) -> np.ndarray:
     return v.reshape(b, nx // b, ny).transpose(1, 0, 2).reshape(nx // b, b * ny)
 
 
-def _baker_cells_inverse(v: np.ndarray, b: int) -> np.ndarray:
-    """Inverse of `_baker_cells`: (nx, ny) -> (b*nx, ny/b); tiles x if ny == 1."""
-    nx, ny = v.shape
-    if ny == 1:
-        return np.tile(v, (b, 1))
-    return v.reshape(nx, b, ny // b).transpose(1, 0, 2).reshape(b * nx, ny // b)
-
-
 def fp_baker(d: Density) -> Density:
     """One baker transfer-operator step: exact cell rearrangement.
 
@@ -86,10 +78,17 @@ def fp_step(spec: MapSpec, d: Density) -> Density:
     return fp_renyi(d) if spec.kind == "renyi" else fp_baker(d)
 
 
-def fp_iterate(spec: MapSpec, d: Density, t: int) -> Density:
+def _iterate(step, spec: MapSpec, x, t: int):
+    """step(spec, .) applied t >= 0 times to x."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
     for _ in range(t):
-        d = fp_step(spec, d)
-    return d
+        x = step(spec, x)
+    return x
+
+
+def fp_iterate(spec: MapSpec, d: Density, t: int) -> Density:
+    return _iterate(fp_step, spec, d, t)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +102,8 @@ def preimage_set(spec: MapSpec, a: GridSet) -> GridSet:
     if spec.kind == "renyi":
         # level-(k+1) cell c maps onto level-k cell c mod b^k
         return GridSet(b, np.tile(a.member, b))
-    return GridSet(b, _baker_cells_inverse(a.member, b))
+    # the baker map is reversible, S^-1 = R S R with R(x, y) = (y, x)
+    return GridSet(b, _baker_cells(a.member.T, b).T)
 
 
 def image_set(spec: MapSpec, a: GridSet) -> GridSet:
@@ -121,27 +121,19 @@ def image_set(spec: MapSpec, a: GridSet) -> GridSet:
 
 def image_measure(spec: MapSpec, a: GridSet, t: int) -> float:
     """Lebesgue measure of S^t(A)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    for _ in range(t):
-        a = image_set(spec, a)
-    return float(a.volume())
+    return float(_iterate(image_set, spec, a, t).volume())
 
 
 def counterimage_measure(spec: MapSpec, a: GridSet, t: int) -> float:
     """Lebesgue measure of S^-t(A); equals measure(A) for these maps."""
-    for _ in range(t):
-        a = preimage_set(spec, a)
-    return float(a.volume())
+    return float(_iterate(preimage_set, spec, a, t).volume())
 
 
 def correlation(a: GridSet, b_set: GridSet, spec: MapSpec, t: int) -> float:
     """Mixing correlation mu(A cap S^-t(B)) - mu(A) mu(B), exactly."""
     _check_base(spec, a)
     _check_base(spec, b_set)
-    pre = b_set
-    for _ in range(t):
-        pre = preimage_set(spec, pre)
+    pre = _iterate(preimage_set, spec, b_set, t)
     return pairing(a, pre.member) - a.volume() * b_set.volume()
 
 

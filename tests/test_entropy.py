@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrowlab.grids import Density, StochasticKernel, square_partition, coarse_grain
 from arrowlab.maps import MapSpec
 from arrowlab.transfer import fp_iterate, fp_renyi
-from arrowlab.entropy import (NEG_INF, canonical_density,
+from arrowlab.entropy import (NEG_INF, _hc_vec, canonical_density,
                               canonical_density_from_temperature,
                               conditional_entropy, entropy_gap_quadratic,
                               entropy_report, gibbs_energy_relation,
@@ -177,3 +179,89 @@ def test_entropy_report_shape():
     u = max_entropy_uniform(3, 2)
     rep = entropy_report(u, u, "uniform")
     assert rep == {"gibbs": 0.0, "conditional": 0.0, "reference": "uniform"}
+
+
+def test_hc_vec_on_a_stack_matches_each_pair():
+    rng = np.random.default_rng(8)
+    rv, sv = rng.random((5, 16)) + 0.01, rng.random((5, 16)) + 0.01
+    rv[1, :4] = 0.0  # 0 ln 0 = 0
+    sv[3, 2] = 0.0  # rho > 0 = sigma: -inf, without a warning
+    rows = [_hc_vec(r, s) for r, s in zip(rv, sv)]
+    assert rows[3] == NEG_INF and all(isinstance(h, float) for h in rows)
+    assert np.array_equal(_hc_vec(rv, sv), rows)
+
+
+@st.composite
+def voigt_cases(draw):
+    """(kernel, trials, seed): random or permutation kernels, and either a few
+    trials or a count on either side of the block of 2^16 // n trials (n >= 8
+    there, which keeps the reference loop short)."""
+    cross = draw(st.booleans())
+    n = draw(st.integers(8, 12) if cross else st.integers(1, 12))
+    block = 2 ** 16 // n
+    trials = draw(st.integers(block - 2, block + 3) if cross else st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        m = rng.random((n, n)) + 0.01
+        m /= m.sum(axis=0)
+    else:
+        m = np.eye(n)[rng.permutation(n)]
+    return StochasticKernel(m), trials, draw(st.integers(0, 2 ** 31 - 1))
+
+
+@settings(max_examples=12, deadline=None)
+@given(voigt_cases())
+def test_voigt_suite_matches_per_trial_loop(case):
+    kernel, trials, seed = case
+    rng = np.random.default_rng(seed)
+
+    def hc(r, s):  # every cell is positive here
+        return float(-(r * np.log(r / s)).mean())
+
+    diffs = []
+    for _ in range(trials):
+        rv = rng.random(kernel.n) + 0.05
+        sv = rng.random(kernel.n) + 0.05
+        rv /= rv.mean()
+        sv /= sv.mean()
+        diffs.append(hc(kernel.matrix @ rv, kernel.matrix @ sv) - hc(rv, sv))
+    res = voigt_monotonicity_suite(kernel, trials, seed)
+    worst = min(diffs)
+    assert (res["worst_violation"], res["trials"], res["pass"]) == (worst, trials,
+                                                                    worst >= -1e-10)
+    if trials * kernel.n <= 2 ** 16:  # one block: the same summation
+        assert res["mean_gain"] == np.mean(diffs)
+    else:
+        assert abs(res["mean_gain"] - np.mean(diffs)) <= 1e-12 * np.mean(np.abs(diffs)) + 1e-300
+
+
+def test_canonical_density_constant_alpha_needs_its_value():
+    with pytest.raises(ValueError, match="outside"):
+        canonical_density(np.full(8, 3.0), 5.0)
+
+
+def _dyadic(rng, n, scale):
+    """Values on a 2^-20 grid, so that adding an integer of up to 10^4 is exact."""
+    return np.round(rng.random(n) * scale * 2 ** 20) / 2 ** 20
+
+
+@pytest.mark.parametrize("c", [-10 ** 4, -2001, 1, 800, 2000, 10 ** 4])
+def test_gibbs_ensemble_is_shift_invariant(c):
+    rng = np.random.default_rng(9)
+    alpha = _dyadic(rng, 64, 10.0)
+    for target in (1.0, 5.0, 9.5):
+        d, nu, _ = canonical_density(alpha, target)
+        dc, nuc, _ = canonical_density(alpha + c, target + c)
+        np.testing.assert_allclose(dc.values, d.values, rtol=1e-12, atol=0)
+        assert abs(nuc - nu) <= 1e-12 * abs(nu)
+    omega = _dyadic(rng, 64, 3.0)
+    for temp in (0.05, 0.7, 3.0):
+        d, _, _ = canonical_density_from_temperature(omega, temp)
+        dc, _, _ = canonical_density_from_temperature(omega + c, temp)
+        np.testing.assert_allclose(dc.values, d.values, rtol=1e-12, atol=0)
+        r1 = Density(2, rng.random(64) + 0.05)
+        ds, dh, de = gibbs_energy_relation(r1, d, omega, temp)
+        dsc, dhc, dec = gibbs_energy_relation(r1, d, omega + c, temp)
+        assert (dsc, dhc) == pytest.approx((ds, dh), rel=1e-12, abs=0)
+        # dE carries c times the rounding of the two masses, and energies of size |c|
+        assert abs(dec - de) <= 1e-14 * (abs(c) + 3.0)

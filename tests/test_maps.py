@@ -150,3 +150,20 @@ def test_recurrence_baker_denominator_past_64_bits():
     # one cell of 625: most orbits run all 30 steps, so D_y = P 5^t passes 2^64
     y_denom = _check_recurrence("baker", 5, 2, 0.0, 3, 10, 30, 1)
     assert y_denom > 2 ** 64
+
+
+@pytest.mark.parametrize("t", [1e-4, 0.0014, -0.7, 0.3337, 2 * np.pi])
+@pytest.mark.parametrize("omega, x0", [(1.0, (1.0, 0.0)), (1.3, (0.3, -0.8))])
+def test_oscillator_flow_runs_for_time_t(t, omega, x0):
+    # times that are not multiples of dt; the exact flow rotates (q, p/omega)
+    q0, p0 = x0
+    c, s = np.cos(omega * t), np.sin(omega * t)
+    q, p = oscillator_flow(x0, omega, t, dt=1e-3)
+    assert abs(q - (q0 * c + p0 / omega * s)) < 1e-6
+    assert abs(p - (p0 * c - omega * q0 * s)) < 1e-6
+
+
+def test_oscillator_flow_rejects_non_positive_dt():
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            oscillator_flow((1.0, 0.0), 1.0, 1.0, dt)

@@ -7,6 +7,7 @@ index-array scatter and gather they replaced.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrowlab.entropy import gibbs_entropy
-from arrowlab.grids import (Density, GridSet, Partition, coarse_values, l1_norm,
-                            measure_of_set, on_common_grid)
+from arrowlab.grids import (Density, GridSet, Partition, coarse_values, interval_set,
+                            l1_norm, measure_of_set, on_common_grid)
 from arrowlab.maps import MapSpec
-from arrowlab.transfer import (correlation, fp_baker, fp_renyi, image_set, preimage_set,
-                               weak_pairing)
+from arrowlab.transfer import (correlation, fp_baker, fp_renyi, image_measure, image_set,
+                               preimage_set, weak_pairing)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 RTOL = 1e-12
@@ -200,6 +201,31 @@ def test_baker_x_marginal_is_the_renyi_factor(base, t, seed):
     lhs = baker.marginal_x().values
     np.testing.assert_allclose(np.repeat(lhs, base ** 4 // lhs.size), renyi.values,
                                rtol=0, atol=4 * np.finfo(float).eps)
+
+
+@SETTINGS
+@given(nested_grids(count=1, min_x_level=1), st.integers(1, 4))
+def test_transfer_operators_keep_mass_and_positivity(case, t):
+    # a Markov operator: the mass stays 1 and every value stays within the
+    # initial range, so a positive density stays positive
+    base, (shape,), rng = case
+    d = random_density(base, shape, rng)
+    lo, hi = d.values.min(), d.values.max()
+    step = fp_renyi if d.dims == 1 else fp_baker
+    for _ in range(t):
+        d = step(d)
+        assert abs(d.cell_mean() - 1.0) <= 1e-14
+        assert lo * (1 - 1e-15) <= d.values.min() and d.values.max() <= hi * (1 + 1e-15)
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 9), st.data())
+def test_renyi_image_measure_of_an_interval(base, level, t, data):
+    n = base ** level
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo, n))
+    exact = float(min(Fraction(1), Fraction((hi - lo) * base ** t, n)))  # rounded once
+    assert image_measure(MapSpec("renyi", base), interval_set(base, level, lo, hi), t) == exact
 
 
 def _renyi_gather(v, b):

@@ -185,3 +185,15 @@ def test_convergence_report_baker_weak_but_not_strong():
 def test_fp_renyi_level_zero_raises():
     with pytest.raises(ValueError):
         fp_renyi(Density(2, np.ones(1), normalize=False))
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, t: image_measure(RENYI, a, t),
+    lambda a, t: counterimage_measure(RENYI, a, t),
+    lambda a, t: correlation(a, a, RENYI, t),
+    lambda a, t: fp_iterate(RENYI, smooth_density(3), t),
+], ids=["image_measure", "counterimage_measure", "correlation", "fp_iterate"])
+def test_negative_time_rejected(call):
+    a = interval_set(2, 3, 0, 2)
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        call(a, -3)

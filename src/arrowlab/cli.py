@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -78,38 +79,37 @@ def cmd_renyi_evolve(args, rng):
     n = args.beta ** args.level
     x = (np.arange(n) + 0.5) / n
     v = rng.random(n) + 0.2 if args.density == "random" else 1.0 + 0.8 * (x - 0.5)
-    cur = grids.Density(args.beta, v)
+    step = partial(transfer.fp_step, maps.MapSpec("renyi", args.beta))
     rows = []
-    for t in range(args.t + 1):
+    for t, cur in enumerate(maps.trajectory(step, grids.Density(args.beta, v), args.t)):
         rows.append((t, cur.cell_mean(lambda v: np.abs(v - 1)), grids.l1_norm(cur)))
-        if t < args.t:
-            cur = transfer.fp_renyi(cur)
     return {"renyi_evolution.csv": table.to_csv("t,l1_dev_from_uniform,l1_norm", rows),
             "renyi_final_density.csv": grids.density_to_csv(cur)}, {}
 
 
 def cmd_baker_evolve(args, rng):
     n = args.beta ** args.level
-    cur = grids.Density(args.beta, rng.random((n, n)) + 0.2)
+    d = grids.Density(args.beta, rng.random((n, n)) + 0.2)
     probe = np.tile(np.arange(n) < n // 2, (n, 1)).astype(float)
-    rows = []
-    for t in range(args.t + 1):
-        rows.append((t, grids.l1_norm(cur), math.sqrt(cur.cell_mean(np.square)),
-                     abs(grids.weak_pairing(cur, probe) - probe.mean())))
-        if t < args.t:
-            cur = transfer.fp_baker(cur)
+    step = partial(transfer.fp_step, maps.MapSpec("baker", args.beta))
+    rows = [(t, grids.l1_norm(cur), math.sqrt(cur.cell_mean(np.square)),
+             abs(grids.weak_pairing(cur, probe) - probe.mean()))
+            for t, cur in enumerate(maps.trajectory(step, d, args.t))]
     return {"baker_evolution.csv": table.to_csv("t,l1_norm,l2_norm,weak_dev", rows)}, {}
 
 
 def cmd_renyi_spectral(args, rng):
-    # evolve a polynomial and log its basis coefficients per step
+    # evolve a polynomial one eigenbasis step at a time and log its basis coefficients
+    # MapSpec rejects a base below 2 even when --t 0 takes no step
+    beta = maps.MapSpec("renyi", args.beta).base
     p = spectral.reconstruct([Fraction(1)] + [Fraction(1, k + 1)
                                               for k in range(args.nmax)])
-    rows = [(t, *spectral.expand(spectral.evolve_spectral(p, args.beta, t), n_max=args.nmax))
-            for t in range(args.t + 1)]
+    step = partial(spectral.evolve_spectral, base=beta, t=1)
+    rows = [(t, *spectral.expand(q, n_max=args.nmax))
+            for t, q in enumerate(maps.trajectory(step, p, args.t))]
     gram = spectral.biorthonormality_matrix(args.nmax)
     report = {"max_gram_error": float(np.abs(gram - np.eye(args.nmax + 1)).max()),
-              "decay_rate": 1.0 / args.beta}
+              "decay_rate": 1.0 / beta}
     header = "t," + ",".join(f"c{n}" for n in range(args.nmax + 1))
     return ({"bernoulli_basis.csv": spectral.basis_table(args.nmax),
              "spectral_evolution.csv": table.to_csv(header, rows),
@@ -257,9 +257,8 @@ def _suite_exactness(seed):
         for lo, hi in ((0, 1), (3, 5), (1, 4)):
             a = grids.interval_set(2, level, lo, hi)
             mu = a.volume()
-            for t in range(11):
-                got = transfer.image_measure(spec, a, t)
-                worst = max(worst, abs(got - min(1.0, 2 ** t * mu)))
+            for t, img in enumerate(maps.trajectory(partial(transfer.image_set, spec), a, 10)):
+                worst = max(worst, abs(float(img.volume()) - min(1.0, 2 ** t * mu)))
     return {"suite": "exactness", "worst_violation": worst,
             "pass": bool(worst == 0.0)}
 

@@ -516,6 +516,8 @@ def thermal_many_mode(temperature: float, gamma: float, f, t,
 def damping_matrix(spectrum) -> np.ndarray:
     """Gamma_ij = gamma_i + gamma_j >= 0 from z_i = beta_i - i gamma_i/2."""
     z = np.asarray(spectrum, dtype=complex)
+    if z.size == 0:
+        raise ValueError("spectrum must not be empty")
     if np.any(z.imag > 1e-15):
         raise ValueError("spectrum must have non-positive imaginary parts")
     gam = -2.0 * z.imag

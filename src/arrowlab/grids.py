@@ -306,10 +306,7 @@ class StochasticKernel:
 
 def apply_markov(k: StochasticKernel, d: Density) -> Density:
     """Advance a density one step under the kernel; norm-preserving."""
-    v = d.values
-    if v.ndim != 1 or v.size != k.n:
-        raise GridMismatchError("kernel size does not match grid")
-    return Density(d.base, k.matrix @ v, normalize=False)
+    return Density(d.base, apply_kernel_signed(k, d.values), normalize=False)
 
 
 def apply_kernel_signed(k: StochasticKernel, values: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Point dynamics: Renyi (beta-adic shift) and baker maps, the baker-to-Renyi
-factor projection, classical time reversal, and recurrence statistics.
+factor projection, classical time reversal, recurrence statistics, and
+`trajectory`, the one forward-iteration loop for orbits, densities and sets.
 
 Float orbits of x -> beta*x mod 1 collapse after ~53 steps in binary, so the
 orbit utilities also run in exact rational arithmetic (Fraction, or integer
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -58,17 +60,18 @@ def time_reverse(p):
     return (q, -mom)
 
 
+def trajectory(step, x0, t: int):
+    """Lazy forward trajectory x0, step(x0), ..., step^t(x0): t + 1 states from
+    exactly t calls of `step`; a negative t raises here, before any is taken."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    return accumulate(repeat(step, t), lambda x, f: f(x), initial=x0)
+
+
 def orbit(x0, spec: MapSpec, n_steps: int):
     """Forward orbit [x0, S x0, ..., S^n x0]; exact if x0 is rational."""
-    pts = [x0]
-    x = x0
-    for _ in range(n_steps):
-        if spec.kind == "renyi":
-            x = renyi_step(x, spec.base)
-        else:
-            x = baker_step(x, spec.base)
-        pts.append(x)
-    return pts
+    step = renyi_step if spec.kind == "renyi" else baker_step
+    return list(trajectory(lambda x: step(x, spec.base), x0, n_steps))
 
 
 # ---------------------------------------------------------------------------

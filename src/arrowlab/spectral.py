@@ -101,6 +101,8 @@ def fp_poly(p: Poly, base: int) -> Poly:
     Expanding ((x+r)/b)^k binomially, the sum over r needs only the integer
     power sums S_m = sum_{r<b} r^m.
     """
+    if base < 2:
+        raise ValueError("base must be >= 2")
     s = [sum(r ** m for r in range(base)) for m in range(len(p.coeffs))]
     out = [0] * len(p.coeffs)
     for k, c in enumerate(p.coeffs):
@@ -142,6 +144,10 @@ def reconstruct(coeffs) -> Poly:
 
 def evolve_spectral(p: Poly, base: int, t: int) -> Poly:
     """U^t p via the eigenbasis: c_n -> beta^-nt c_n."""
+    if base < 2:
+        raise ValueError("base must be >= 2")
+    if t < 0:
+        raise ValueError("t must be non-negative")
     return reconstruct([Fraction(c, base ** (n * t)) for n, c in enumerate(expand(p))])
 
 

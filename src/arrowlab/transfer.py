@@ -9,11 +9,14 @@ module.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import islice
+
 import numpy as np
 
 from .grids import Density, GridSet, GridMismatchError, pairing, weak_pairing
 from .grids import on_common_grid  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .maps import MapSpec
+from .maps import MapSpec, trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +81,9 @@ def fp_step(spec: MapSpec, d: Density) -> Density:
     return fp_renyi(d) if spec.kind == "renyi" else fp_baker(d)
 
 
-def _iterate(step, spec: MapSpec, x, t: int):
-    """step(spec, .) applied t >= 0 times to x."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    for _ in range(t):
-        x = step(spec, x)
-    return x
-
-
 def fp_iterate(spec: MapSpec, d: Density, t: int) -> Density:
-    return _iterate(fp_step, spec, d, t)
+    """U^t d, the t-th state of the density's trajectory."""
+    return next(islice(trajectory(partial(fp_step, spec), d, t), t, None))
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +116,19 @@ def image_set(spec: MapSpec, a: GridSet) -> GridSet:
 
 def image_measure(spec: MapSpec, a: GridSet, t: int) -> float:
     """Lebesgue measure of S^t(A)."""
-    return float(_iterate(image_set, spec, a, t).volume())
+    return float(next(islice(trajectory(partial(image_set, spec), a, t), t, None)).volume())
 
 
 def counterimage_measure(spec: MapSpec, a: GridSet, t: int) -> float:
     """Lebesgue measure of S^-t(A); equals measure(A) for these maps."""
-    return float(_iterate(preimage_set, spec, a, t).volume())
+    return float(next(islice(trajectory(partial(preimage_set, spec), a, t), t, None)).volume())
 
 
 def correlation(a: GridSet, b_set: GridSet, spec: MapSpec, t: int) -> float:
     """Mixing correlation mu(A cap S^-t(B)) - mu(A) mu(B), exactly."""
     _check_base(spec, a)
     _check_base(spec, b_set)
-    pre = _iterate(preimage_set, spec, b_set, t)
+    pre = next(islice(trajectory(partial(preimage_set, spec), b_set, t), t, None))
     return pairing(a, pre.member) - a.volume() * b_set.volume()
 
 
@@ -146,11 +141,8 @@ def cesaro_average(spec: MapSpec, d: Density, g: np.ndarray, big_t: int) -> floa
     if big_t < 1:
         raise ValueError("T must be >= 1")
     total = 0.0
-    cur = d
-    for k in range(big_t):
+    for cur in trajectory(partial(fp_step, spec), d, big_t - 1):
         total += weak_pairing(cur, g)
-        if k < big_t - 1:
-            cur = fp_step(spec, cur)
     return total / big_t
 
 
@@ -198,14 +190,11 @@ def convergence_report(spec: MapSpec, d: Density, probes, t_max: int):
     means = [float(np.mean(g)) for g in probes]
 
     weak_dev, strong_dev, pairings = [], [], []
-    cur = d
-    for t in range(t_max + 1):
+    for cur in trajectory(partial(fp_step, spec), d, t_max):
         pr = [weak_pairing(cur, g) for g in probes]
         pairings.append(pr)
         weak_dev.append(max(abs(p - m) for p, m in zip(pr, means)))
         strong_dev.append(cur.cell_mean(lambda v: np.abs(v - 1.0)))
-        if t < t_max:
-            cur = fp_step(spec, cur)
     pairings = np.array(pairings)
     cesaro_dev = [
         max(abs(pairings[: t + 1, i].mean() - means[i]) for i in range(len(probes)))

@@ -241,7 +241,13 @@ def test_baker_evolve_runs_past_int64_cells(tmp_path):
                                   ["dephase", "--n", "6", "--tmax", "1e308"],
                                   ["entropy-suite", "--n", "0"],
                                   ["entropy-suite", "--trials", "0"],
-                                  ["lambda-lyapunov", "--t-max=-1"]])
+                                  ["lambda-lyapunov", "--t-max=-1"],
+                                  ["lambda-lyapunov", "--n", "0"],
+                                  ["renyi-evolve", "--t", "-1"],
+                                  ["baker-evolve", "--t", "-1"],
+                                  ["renyi-spectral", "--t", "-1"],
+                                  ["renyi-spectral", "--beta", "1"],
+                                  ["renyi-spectral", "--beta", "0", "--t", "0"]])
 def test_out_of_range_options_exit_1_without_warning(tmp_path, capsys, argv):
     out = tmp_path / "d"
     with warnings.catch_warnings():

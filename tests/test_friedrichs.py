@@ -378,6 +378,8 @@ def test_damping_matrix():
     assert g[2, 2] == 0.0
     with pytest.raises(ValueError):
         damping_matrix([1 + 0.1j])
+    with pytest.raises(ValueError, match="spectrum must not be empty"):
+        damping_matrix([])
 
 
 def test_lambda_lyapunov_monotone_and_limits():

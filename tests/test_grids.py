@@ -84,6 +84,10 @@ def test_stochastic_kernel_validation():
     d = Density(2, np.array([2.0, 1.0, 0.5, 0.5]))
     out = apply_markov(k, d)
     assert abs(l1_norm(out) - 1.0) < 1e-12
+    assert np.array_equal(out.values, apply_kernel_signed(k, d.values))
+    for bad in (uniform_density(2, 3), Density(2, np.ones((2, 2)))):
+        with pytest.raises(GridMismatchError, match="kernel size does not match grid"):
+            apply_markov(k, bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

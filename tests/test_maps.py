@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from arrowlab.maps import (MapSpec, baker_inverse_step, baker_step,
                            factor_project, orbit, oscillator_flow,
                            recurrence_stats, renyi_step, reversibility_check,
-                           time_reverse)
+                           time_reverse, trajectory)
 
 
 def test_renyi_step_exact():
@@ -40,6 +40,33 @@ def test_orbit_periodicity():
     # 1/3 is period-2 under doubling
     pts = orbit(Fraction(1, 3), MapSpec("renyi", 2), 4)
     assert pts[0] == pts[2] == pts[4]
+
+
+def test_orbit_rejects_negative_steps():
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        orbit(Fraction(1, 3), MapSpec("renyi", 2), -1)
+
+
+def test_trajectory_is_lazy_and_steps_exactly_t_times():
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return x + 1
+
+    states = trajectory(step, 10, 3)
+    assert calls == []
+    assert next(states) == 10 and calls == []
+    assert list(states) == [11, 12, 13] and calls == [10, 11, 12]
+    assert list(trajectory(step, 5, 0)) == [5] and len(calls) == 3
+
+
+@pytest.mark.parametrize("t", [-1, -7])
+def test_trajectory_rejects_negative_t_at_the_call(t):
+    calls = []
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        trajectory(calls.append, 0, t)
+    assert calls == []
 
 
 def test_mapspec_validation():

@@ -120,6 +120,21 @@ def test_spectral_evolution_matches_direct():
             direct = fp_poly(direct, base)
 
 
+@pytest.mark.parametrize("base", [1, 0, -2])
+def test_spectral_steps_reject_base_below_2(base):
+    p = bernoulli_poly(2)
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        fp_poly(p, base)
+    for t in (0, 1):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            evolve_spectral(p, base, t)
+
+
+def test_evolve_spectral_rejects_negative_t():
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        evolve_spectral(bernoulli_poly(2), 2, -1)
+
+
 def test_decompose_equilibrium():
     p = Poly([Fraction(3, 2), Fraction(1, 2)])
     inv, dec = decompose_equilibrium(p)

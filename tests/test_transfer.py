@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from arrowlab.grids import (Density, GridMismatchError, GridSet, interval_set, l1_norm,
                             uniform_density)
-from arrowlab.maps import MapSpec
+from arrowlab.maps import MapSpec, trajectory
 from arrowlab.transfer import (cesaro_average, classify_series,
                                convergence_report, correlation,
                                counterimage_measure, fp_baker, fp_iterate,
@@ -104,6 +106,25 @@ def test_fp_iterate_matches_steps():
     once = fp_renyi(fp_renyi(d))
     twice = fp_iterate(RENYI, d, 2)
     assert np.array_equal(once.values, twice.values)
+
+
+@pytest.mark.parametrize("spec, d, a", [
+    (RENYI, smooth_density(8), interval_set(2, 8, 3, 40)),
+    (MapSpec("renyi", 3), smooth_density(5, base=3), interval_set(3, 5, 7, 30)),
+    (BAKER, Density(2, np.arange(1.0, 65.0).reshape(8, 8)),
+     GridSet(2, np.tile(np.arange(8)[:, None] < 3, (1, 8)))),
+], ids=["renyi2", "renyi3", "baker2"])
+def test_trajectory_items_are_the_iterates(spec, d, a):
+    t = 7
+    states = list(trajectory(partial(fp_step, spec), d, t))
+    images = list(trajectory(partial(image_set, spec), a, t))
+    assert len(states) == len(images) == t + 1
+    img = a
+    for k in range(t + 1):
+        assert np.array_equal(states[k].values, fp_iterate(spec, d, k).values)
+        assert np.array_equal(images[k].member, img.member)
+        assert images[k].volume() == image_measure(spec, a, k)
+        img = image_set(spec, img)
 
 
 def test_preimage_measure_is_invariant():

@@ -101,14 +101,6 @@ def blackbody_comoving_entropy(a, params: CosmoParams, c_s: float = 1.0):
     return 4.0 / 3.0 * c_s * np.asarray(t) ** 3 * np.asarray(a) ** 3
 
 
-def comoving_entropy_rate(phi0: np.ndarray, a: np.ndarray, t_grid: np.ndarray):
-    """d/dt of the comoving entropy phi0 * a^3, by central differences."""
-    phi0 = np.asarray(phi0, dtype=float)
-    a = np.asarray(a, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    return np.gradient(phi0 * a ** 3, t_grid)
-
-
 # ---------------------------------------------------------------------------
 # entropy gap
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Density, StochasticKernel, on_common_grid, uniform_density
+from .grids import Density, StochasticKernel, on_common_grid
 
 NEG_INF = float("-inf")
 _ZERO = 1e-300  # below this a cell counts as empty for the 0*log(0) = 0 rule
@@ -49,11 +49,6 @@ def conditional_entropy(rho: Density, sigma: Density):
     Returns NEG_INF when rho puts mass where sigma vanishes.
     """
     return _hc_vec(*(v.ravel() for v in on_common_grid(rho.values, sigma.values, rho.base)))
-
-
-def max_entropy_uniform(level: int, base: int, dims: int = 1) -> Density:
-    """The entropy maximizer on the grid (no constraints): uniform."""
-    return uniform_density(base, level, dims)
 
 
 def _gibbs(alpha: np.ndarray, nu: float, base: int):
@@ -180,11 +175,3 @@ def canonical_density_from_temperature(omega: np.ndarray, temperature: float,
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return _gibbs(np.asarray(omega, dtype=float), 1.0 / temperature, base)
-
-
-def entropy_report(rho: Density, sigma: Density, reference: str = "sigma"):
-    return {
-        "gibbs": gibbs_entropy(rho),
-        "conditional": conditional_entropy(rho, sigma),
-        "reference": reference,
-    }

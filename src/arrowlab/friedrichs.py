@@ -1,7 +1,7 @@
 """Friedrichs resonance model: the resolvent function alpha(z), its
 second-sheet zero (the resonance pole), survival probability by two
-independent routes, mixed-state decay splits, the thermal many-mode state,
-the Lambda-trace Lyapunov functional, and biorthogonal trace/energy checks.
+independent routes, mixed-state decay splits, the thermal many-mode state
+and the Lambda-trace Lyapunov functional.
 
 Conventions: hbar = 1, continuum on [0, omega_max], default form factor
 g(omega) = exp(-omega/2).  alpha on both sheets and on the cut comes from
@@ -137,12 +137,6 @@ def _on_cut(omega, model: FriedrichsModel) -> np.ndarray:
     if not np.all((w > 0) & (w < model.omega_max)):
         raise ValueError("omega must lie inside the cut")
     return w
-
-
-def principal_value_integral(omega: float, model: FriedrichsModel) -> float:
-    """PV integral_0^W g^2(u)/(omega-u) du for one omega inside the cut: the
-    real part of the rule behind `alpha` and `boundary_alpha`."""
-    return float(_cut_integral(_on_cut(float(omega), model), model)[0].real)
 
 
 def alpha(z: complex, sheet: str, model: FriedrichsModel) -> complex:
@@ -535,50 +529,3 @@ def lambda_lyapunov(spectrum, rho0: np.ndarray, t_grid) -> np.ndarray:
         raise ValueError("t must be non-negative: the Lambda-evolution runs forward only")
     w = np.abs(rho0) ** 2
     return np.array([float(np.sum(w * np.exp(-gam * t))) for t in t_grid])
-
-
-# ---------------------------------------------------------------------------
-# biorthogonal trace / energy checks
-# ---------------------------------------------------------------------------
-
-def trace_energy_checks(m: np.ndarray, t_grid=None) -> dict:
-    """Finite-dimensional shadow of the pole-sector pairing algebra.
-
-    For a real matrix with a complex-conjugate eigenvalue pair, the right
-    eigenvector of z paired against the left eigenvector of z-bar has zero
-    overlap (the zero-norm property), and the energy expectation in that
-    pairing vanishes.  The trace of the similarity-evolved state is constant.
-    """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    evals, right = np.linalg.eig(m)
-    left = np.linalg.inv(right)  # rows: left eigenvectors, biorthonormal
-    # locate a complex eigenvalue (if any) and its conjugate partner
-    report = {"eigenvalues": evals}
-    cplx = np.where(np.abs(evals.imag) > 1e-12)[0]
-    if cplx.size:
-        i = cplx[0]
-        j = int(np.argmin(np.abs(evals - evals[i].conj())))
-        # self-pairing <z,-|z,-> ~ left vector of z-bar applied to right of z
-        self_pair = complex(left[j] @ right[:, i])
-        energy = complex(left[j] @ m @ right[:, i])
-        report["self_pairing"] = abs(self_pair)
-        report["pole_energy"] = abs(energy)
-    else:
-        # Hermitian-like limit: orthonormal pairing, positive traces
-        report["self_pairing"] = None
-        report["diag_pairings"] = np.real(np.einsum("ij,ji->i", left, right))
-    if t_grid is not None:
-        rng = np.random.default_rng(0)
-        rho0 = rng.random((n, n)) + 1j * rng.random((n, n))
-        rho0 = rho0 + rho0.conj().T
-        rho0 /= np.trace(rho0).real
-        traces = []
-        for t in t_grid:
-            phases = np.exp(-1j * np.asarray(evals) * t)
-            prop = right @ np.diag(phases) @ left
-            prop_inv = right @ np.diag(1.0 / phases) @ left
-            traces.append(complex(np.trace(prop @ rho0 @ prop_inv)))
-        traces = np.array(traces)
-        report["trace_drift"] = float(np.abs(traces - traces[0]).max())
-    return report

@@ -195,9 +195,6 @@ class GridSet(_BetaGrid):
         """Lebesgue measure of the set."""
         return self.member.mean()
 
-    def complement(self) -> "GridSet":
-        return GridSet(self.base, ~self.member)
-
 
 def interval_set(base: int, level: int, lo_cell: int, hi_cell: int) -> GridSet:
     """Cells lo_cell..hi_cell-1 at the given level (half-open interval)."""

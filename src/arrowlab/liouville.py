@@ -10,8 +10,6 @@ it makes composition and application BLAS matrix products of reshaped views.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 N_CAP = 16  # dense n^4 storage; desk scale
@@ -73,10 +71,6 @@ def super_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     n = _liouville_dim(a, b, 4)
     return (a.reshape(n * n, n * n) @ b.reshape(n * n, n * n)).reshape(n, n, n, n)
-
-
-def super_identity(n: int) -> np.ndarray:
-    return super_product(np.eye(n), np.eye(n))
 
 
 def super_transpose(a: np.ndarray) -> np.ndarray:
@@ -151,6 +145,8 @@ def dephase_cesaro(rho0, spectrum, obs, big_t: float, n_steps: int = 2000):
         raise ValueError("spectrum length and observable must match the matrix dimension")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if w.size == 0:
+        raise ValueError("spectrum must not be empty")
     if not np.isfinite(float(big_t) * float(np.ptp(w))):  # Python floats: inf, no warning
         raise ValueError("the largest phase T * max|w_i - w_j| must be finite")
     ts = (np.arange(n_steps) + 0.5) * (big_t / n_steps)
@@ -213,17 +209,3 @@ def phase_space_integral(rho_w, qgrid, pgrid, symbol=None) -> float:
     dp = pgrid[1] - pgrid[0]
     w = rho_w if symbol is None else rho_w * symbol
     return float(np.real(w.sum()) * dq * dp)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def matrix_to_json(m) -> str:
-    m = np.asarray(m, dtype=complex)
-    return json.dumps([[{"re": z.real, "im": z.imag} for z in row] for row in m])
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.array([[complex(c["re"], c["im"]) for c in row] for row in data])

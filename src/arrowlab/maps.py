@@ -1,6 +1,6 @@
-"""Point dynamics: Renyi (beta-adic shift) and baker maps, the baker-to-Renyi
-factor projection, classical time reversal, recurrence statistics, and
-`trajectory`, the one forward-iteration loop for orbits, densities and sets.
+"""Point dynamics: Renyi (beta-adic shift) and baker maps, classical time
+reversal, recurrence statistics, and `trajectory`, the one forward-iteration
+loop for orbits, densities and sets.
 
 Float orbits of x -> beta*x mod 1 collapse after ~53 steps in binary, so the
 orbit utilities also run in exact rational arithmetic (Fraction, or integer
@@ -47,11 +47,6 @@ def baker_step(p, base: int):
 def baker_inverse_step(p, base: int):
     """Inverse baker step S^-1 = R S R, with the time reversal R(x, y) = (y, x)."""
     return baker_step(p[::-1], base)[::-1]
-
-
-def factor_project(p):
-    """Project a baker phase point onto the Renyi factor (the x coordinate)."""
-    return p[0]
 
 
 def time_reverse(p):

@@ -85,14 +85,19 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
+def _bernoulli_polys(n_max: int, lo: int = 0) -> list:
+    """B_lo(x), ..., B_n_max(x), all from one run of the number recurrence."""
+    bs = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
+    return [Poly([comb(n, k) * bs[n - k] for k in range(n + 1)]) for n in range(lo, n_max + 1)]
+
+
 def bernoulli_poly(n: int) -> Poly:
     """B_n(x) with exact rational coefficients (B_0 = 1, B_1 = x - 1/2, ...)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    bs = [Fraction(1)]
-    for m in range(1, n + 1):
-        bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
-    return Poly([comb(n, k) * bs[n - k] for k in range(n + 1)])
+    return _bernoulli_polys(n, n)[0]
 
 
 def fp_poly(p: Poly, base: int) -> Poly:
@@ -112,12 +117,6 @@ def fp_poly(p: Poly, base: int) -> Poly:
     return Poly(out)
 
 
-def left_functional(n: int, p: Poly):
-    """Dual pairing (B~_n, p): integral for n=0, boundary jump of the
-    (n-1)-th derivative over n! for n >= 1."""
-    return expand(p, n)[n]
-
-
 def expand(p: Poly, n_max: int | None = None):
     """Coefficients c_n = (B~_n, p), n <= n_max, with p = sum c_n B_n; exact
     for rational p.
@@ -127,6 +126,8 @@ def expand(p: Poly, n_max: int | None = None):
     """
     if n_max is None:
         n_max = p.degree
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     out = [p.integral01()]
     q = p
     for n in range(1, n_max + 1):
@@ -136,9 +137,10 @@ def expand(p: Poly, n_max: int | None = None):
 
 
 def reconstruct(coeffs) -> Poly:
+    coeffs = list(coeffs)
     out = Poly([Fraction(0)])
-    for n, c in enumerate(coeffs):
-        out = out + bernoulli_poly(n).scaled(c)
+    for c, b in zip(coeffs, _bernoulli_polys(len(coeffs) - 1)):
+        out = out + b.scaled(c)
     return out
 
 
@@ -151,17 +153,11 @@ def evolve_spectral(p: Poly, base: int, t: int) -> Poly:
     return reconstruct([Fraction(c, base ** (n * t)) for n, c in enumerate(expand(p))])
 
 
-def decompose_equilibrium(p: Poly):
-    """Split p into its invariant part (the mean) and the decaying remainder."""
-    mean = p.integral01()
-    decaying = p - Poly([mean])
-    return Poly([mean]), decaying
-
-
 def biorthonormality_matrix(n_max: int):
     """Gram matrix (B~_m, B_n); the identity when all is well."""
-    return np.array([expand(bernoulli_poly(n), n_max) for n in range(n_max + 1)],
-                    dtype=float).T
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return np.array([expand(b, n_max) for b in _bernoulli_polys(n_max)], dtype=float).T
 
 
 def sample_poly(p: Poly, base: int, level: int) -> np.ndarray:
@@ -182,5 +178,5 @@ def sample_poly(p: Poly, base: int, level: int) -> np.ndarray:
 def basis_table(n_max: int, n_points: int = 101) -> str:
     """CSV: x plus B_0..B_n sampled on a uniform grid."""
     xs = np.linspace(0.0, 1.0, n_points)
-    cols = [xs] + [polyval(xs, bernoulli_poly(n).as_floats()) for n in range(n_max + 1)]
+    cols = [xs] + [polyval(xs, b.as_floats()) for b in _bernoulli_polys(n_max)]
     return to_csv("x," + ",".join(f"B{n}" for n in range(n_max + 1)), zip(*cols))

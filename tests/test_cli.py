@@ -235,6 +235,16 @@ def test_baker_evolve_runs_past_int64_cells(tmp_path):
     assert rows[-1].startswith("60,")
 
 
+@pytest.mark.parametrize("argv, problem",
+                         [(["dephase", "--n", "0"], "spectrum must not be empty"),
+                          (["renyi-spectral", "--nmax", "-1"], "n_max must be >= 0")])
+def test_empty_sizes_name_the_problem(tmp_path, capsys, argv, problem):
+    out = tmp_path / "d"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"arrowlab: error: {problem}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["cosmo-gap", "--omega1", "1e300"],
                                   ["cosmo-gap", "--gamma-t0", "1e-300"],
                                   ["cosmo-gap", "--t0-temp", "1e-300"],

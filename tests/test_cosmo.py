@@ -6,10 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrowlab.cosmo import (CosmoParams, ThermoState, blackbody_comoving_entropy,
-                            boost_thermo, boost_work, comoving_entropy_rate,
-                            critical_times, entropy_gap, entropy_gap_rate,
-                            gap_to_csv, radiation_temperature, regime_report,
-                            roots_to_json, scale_factor)
+                            boost_thermo, boost_work, critical_times,
+                            entropy_gap, entropy_gap_rate, gap_to_csv,
+                            radiation_temperature, regime_report, roots_to_json)
 
 P = CosmoParams()  # A = 2*1.5/3 = 1, B = 0.1
 
@@ -61,21 +60,6 @@ def test_blackbody_comoving_entropy_constant():
     a = np.linspace(1.0, 50.0, 500)
     s = blackbody_comoving_entropy(a, P)
     assert np.ptp(s) < 1e-10
-
-
-def test_comoving_entropy_rate():
-    t = np.linspace(1, 10, 2001)
-    a = scale_factor(t, P)
-    # radiation: phi0 ~ a^-3 makes the comoving entropy constant
-    rate = comoving_entropy_rate((P.a0 / a) ** 3, a, t)
-    assert np.abs(rate).max() < 1e-10
-    # phi0 constant, a growing: strictly positive rate
-    rate2 = comoving_entropy_rate(np.ones_like(t), a, t)
-    assert np.all(rate2 > 0)
-    # polynomial oracle: phi0 = t^2, a = t -> d/dt t^5 = 5 t^4
-    rate3 = comoving_entropy_rate(t ** 2, t, t)
-    inner = slice(1, -1)
-    assert np.abs(rate3[inner] - 5 * t[inner] ** 4).max() < 1e-3 * (5 * t.max() ** 4)
 
 
 def test_entropy_gap_values_and_limits():

@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrowlab.grids import Density, StochasticKernel, square_partition, coarse_grain
+from arrowlab.grids import (Density, StochasticKernel, square_partition, coarse_grain,
+                            uniform_density)
 from arrowlab.maps import MapSpec
 from arrowlab.transfer import fp_iterate, fp_renyi
 from arrowlab.entropy import (NEG_INF, _hc_vec, canonical_density,
                               canonical_density_from_temperature,
                               conditional_entropy, entropy_gap_quadratic,
-                              entropy_report, gibbs_energy_relation,
-                              gibbs_entropy, max_entropy_uniform,
+                              gibbs_energy_relation, gibbs_entropy,
                               voigt_monotonicity_suite)
 
 
 def test_gibbs_entropy_known_values():
-    u = max_entropy_uniform(3, 2)
+    u = uniform_density(2, 3)
     assert gibbs_entropy(u) == 0.0
     half = Density(2, np.where(np.arange(8) < 4, 2.0, 0.0), normalize=False)
     assert abs(gibbs_entropy(half) + np.log(2)) < 1e-14
@@ -36,7 +36,7 @@ def test_uniform_is_max_entropy():
 
 
 def test_conditional_entropy_cases():
-    u = max_entropy_uniform(3, 2)
+    u = uniform_density(2, 3)
     half = Density(2, np.where(np.arange(8) < 4, 2.0, 0.0), normalize=False)
     assert conditional_entropy(u, u) == 0.0
     assert abs(conditional_entropy(half, u) + np.log(2)) < 1e-14
@@ -111,7 +111,7 @@ def test_voigt_random_kernels_monotone():
 def test_renyi_conditional_entropy_increases_to_zero():
     rng = np.random.default_rng(5)
     spec = MapSpec("renyi", 2)
-    u = max_entropy_uniform(12, 2)
+    u = uniform_density(2, 12)
     n = 2 ** 12
     x = (np.arange(n) + 0.5) / n
     for _ in range(10):
@@ -139,7 +139,7 @@ def test_baker_conditional_entropy_constant():
 
 def test_entropy_gap_quadratic_values():
     n = 1024
-    u = max_entropy_uniform(10, 2)
+    u = uniform_density(2, 10)
     assert entropy_gap_quadratic(u, np.zeros(n), 1.0, 0.0) == 0.0
     x = (np.arange(n) + 0.5) / n
     eps = 0.3
@@ -152,7 +152,7 @@ def test_entropy_gap_quadratic_values():
 
 def test_entropy_gap_quadratic_matches_exact():
     n = 4096
-    u = max_entropy_uniform(12, 2)
+    u = uniform_density(2, 12)
     x = (np.arange(n) + 0.5) / n
     r1 = np.sin(2 * np.pi * x)
     amp = 0.01 / np.abs(r1).max()
@@ -173,12 +173,6 @@ def test_gibbs_energy_relation_identity():
         assert abs(ds - (dh - de / temp)) < 1e-10
     ds, dh, de = gibbs_energy_relation(can, can, omega, temp)
     assert ds == dh == de == 0.0
-
-
-def test_entropy_report_shape():
-    u = max_entropy_uniform(3, 2)
-    rep = entropy_report(u, u, "uniform")
-    assert rep == {"gibbs": 0.0, "conditional": 0.0, "reference": "uniform"}
 
 
 def test_hc_vec_on_a_stack_matches_each_pair():

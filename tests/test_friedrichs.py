@@ -9,15 +9,15 @@ from scipy import integrate
 from scipy.special import expi
 
 from arrowlab.friedrichs import (_GL_NODES, FriedrichsModel, _arrowhead_spectrum,
-                                 _diff_factors, _secular_sums, alpha,
-                                 boundary_alpha, damping_matrix, discretize,
-                                 find_pole, lambda_lyapunov, mixed_state_decay,
-                                 pole_approximation, pole_to_json,
-                                 principal_value_integral, recurrence_time,
+                                 _cut_integral, _diff_factors, _secular_sums,
+                                 alpha, boundary_alpha, damping_matrix,
+                                 discretize, find_pole, lambda_lyapunov,
+                                 mixed_state_decay, pole_approximation,
+                                 pole_to_json, recurrence_time,
                                  spectral_density, survival_amplitude_oracle,
                                  survival_amplitude_quadrature,
                                  survival_probability, survival_to_csv,
-                                 thermal_many_mode, trace_energy_checks)
+                                 thermal_many_mode)
 
 MODEL = FriedrichsModel(omega1=1.0, lam=0.1)
 
@@ -117,7 +117,7 @@ def test_cut_rule_on_and_next_to_its_own_nodes():
             got = boundary_alpha(w, MODEL)
             assert np.abs(got - _boundary_alpha_exact(w, MODEL)).max() < 1e-12
         one = boundary_alpha(nodes[100], MODEL)
-        pv = principal_value_integral(nodes[100], MODEL)
+        pv = _cut_integral(np.array([nodes[100]]), MODEL)[0].real
     assert one == boundary_alpha(nodes, MODEL)[100]
     assert abs(one - boundary_alpha(np.nextafter(nodes[100], np.inf), MODEL)) < 1e-12
     exact = np.exp(-nodes[100]) * (expi(nodes[100]) - expi(nodes[100] - MODEL.omega_max))
@@ -150,7 +150,7 @@ def test_principal_value_against_closed_form():
     from scipy.special import expi
     for w in (0.5, 1.0, 2.5):
         exact = np.exp(-w) * (expi(w) - expi(w - MODEL.omega_max))
-        assert abs(principal_value_integral(w, MODEL) - exact) < 1e-10
+        assert abs(_cut_integral(np.array([w]), MODEL)[0].real - exact) < 1e-10
 
 
 def test_find_pole_residual_and_golden_rule():
@@ -159,7 +159,7 @@ def test_find_pole_residual_and_golden_rule():
     assert pole.gamma1 > 0
     golden = 2 * np.pi * MODEL.lam ** 2 * np.exp(-1.0)
     assert abs(pole.gamma1 - golden) / golden < 0.10
-    shift = MODEL.lam ** 2 * principal_value_integral(1.0, MODEL)
+    shift = MODEL.lam ** 2 * _cut_integral(np.array([1.0]), MODEL)[0].real
     assert abs((pole.beta1 - 1.0) - shift) / abs(shift) < 0.10
 
 
@@ -401,21 +401,6 @@ def test_lambda_lyapunov_random_sweep():
         r = rng.random((n, n)) + 1j * rng.random((n, n))
         y = lambda_lyapunov(z, r + r.conj().T, np.linspace(0, 30, 40))
         assert np.all(np.diff(y) <= 1e-12)
-
-
-def test_trace_energy_checks_complex_pair():
-    m = np.array([[1.0, 0.02], [-0.5, 1.0]])
-    rep = trace_energy_checks(m, t_grid=np.linspace(0, 10, 11))
-    assert rep["self_pairing"] < 1e-10
-    assert rep["pole_energy"] < 1e-10
-    assert rep["trace_drift"] < 1e-10
-
-
-def test_trace_energy_checks_hermitian_limit():
-    m = np.array([[2.0, 0.3], [0.3, 1.0]])
-    rep = trace_energy_checks(m)
-    assert rep["self_pairing"] is None
-    assert np.allclose(rep["diag_pairings"], 1.0)
 
 
 def test_serializers():

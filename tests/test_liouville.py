@@ -8,10 +8,9 @@ from arrowlab import liouville
 from arrowlab.liouville import (check_density_matrix, conjugate_momentum_grid,
                                 dephase_cesaro, dephase_evolution,
                                 diagonal_part, expectation, is_self_associated,
-                                liouvillian, matrix_from_json, matrix_to_json,
-                                phase_space_integral, super_adjoint,
-                                super_apply, super_associated, super_compose,
-                                super_identity, super_product, super_transpose,
+                                liouvillian, phase_space_integral,
+                                super_adjoint, super_apply, super_associated,
+                                super_compose, super_product, super_transpose,
                                 time_reversal_K, wigner_transform)
 
 rng = np.random.default_rng(0)
@@ -32,7 +31,7 @@ def test_super_product_acts_as_sandwich():
         assert np.allclose(super_apply(super_product(a, b), g), a @ g @ b,
                            atol=1e-12)
     g, b = cmat(), cmat()
-    assert np.allclose(super_apply(super_identity(3), g), g)
+    assert np.allclose(super_apply(super_product(np.eye(3), np.eye(3)), g), g)
     assert np.allclose(super_apply(super_product(np.eye(3), b), g), g @ b,
                        atol=1e-12)
 
@@ -252,6 +251,8 @@ def test_dephase_cesaro_rejects_bad_input():
         dephase_cesaro(r, [0.0, 1.0, 2.0], np.eye(2), 10.0)
     with pytest.raises(ValueError):
         dephase_cesaro(r, [0.0, 1.0, 2.0], np.eye(3), 10.0, n_steps=0)
+    with pytest.raises(ValueError, match="spectrum must not be empty"):
+        dephase_cesaro(np.zeros((0, 0)), [], np.zeros((0, 0)), 10.0)
 
 
 def test_wigner_gaussian_ground_state():
@@ -281,7 +282,3 @@ def test_wigner_trace_and_pairing_identities():
     rhs = float(np.sum(np.diag(rho).real * q ** 2))
     assert abs(lhs - rhs) / abs(rhs) < 1e-4
 
-
-def test_matrix_json_roundtrip():
-    m = cmat()
-    assert np.allclose(matrix_from_json(matrix_to_json(m)), m)

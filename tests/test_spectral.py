@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from arrowlab.spectral import (Poly, basis_table, bernoulli_poly,
-                               biorthonormality_matrix, decompose_equilibrium,
-                               evolve_spectral, expand, fp_poly,
-                               left_functional, reconstruct, sample_poly)
+from arrowlab.spectral import (Poly, _bernoulli_polys, basis_table,
+                               bernoulli_poly, biorthonormality_matrix,
+                               evolve_spectral, expand, fp_poly, reconstruct,
+                               sample_poly)
 
 
 def test_poly_arithmetic():
@@ -90,7 +90,7 @@ def test_left_functionals_biorthonormal():
     for n in range(7):
         bn = bernoulli_poly(n)
         for m in range(7):
-            assert left_functional(m, bn) == (1 if m == n else 0)
+            assert expand(bn, m)[m] == (1 if m == n else 0)
 
 
 def test_gram_matrix_identity():
@@ -104,6 +104,19 @@ def test_gram_matrix_identity_exact_to_n_max_20():
         row = expand(bernoulli_poly(n), 20)
         assert all(type(c) is Fraction for c in row)
         assert row == [Fraction(int(m == n)) for m in range(21)]
+
+
+def test_bernoulli_polys_from_one_recurrence_match_each_poly():
+    assert _bernoulli_polys(12) == [bernoulli_poly(n) for n in range(13)]
+    assert _bernoulli_polys(12, 5) == [bernoulli_poly(n) for n in range(5, 13)]
+    assert _bernoulli_polys(-1) == []
+
+
+def test_negative_n_max_rejected():
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        expand(bernoulli_poly(2), -1)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        biorthonormality_matrix(-1)
 
 
 def test_expand_reconstruct_roundtrip():
@@ -136,10 +149,12 @@ def test_evolve_spectral_rejects_negative_t():
 
 
 def test_decompose_equilibrium():
+    # p splits into its invariant mean and a remainder with no B_0 component
     p = Poly([Fraction(3, 2), Fraction(1, 2)])
-    inv, dec = decompose_equilibrium(p)
-    assert inv.degree == 0
+    inv = Poly([p.integral01()])
+    dec = p - inv
     assert dec.integral01() == 0
+    assert expand(dec)[0] == 0
     assert inv + dec == p
 
 

@@ -18,12 +18,18 @@ The quadrature sums the spectral density on an evenly spaced omega grid; for
 an evenly spaced t grid, which it requires, that sum is one chirp-z
 transform (Rabiner, Schafer & Rader 1969) done as a Bluestein FFT
 convolution in O(n_points + len(t)) memory.
+
+A FriedrichsModel is immutable: it computes its exact spectrum and its
+spectral density once per size and returns them read-only, so repeated
+calls at other times (a t grid, the Zeno pair, late Khalfin times) reuse
+them.  The Gauss-Legendre rule behind alpha is built on first use.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -34,18 +40,20 @@ def _default_g(w):
     return np.exp(-np.asarray(w) / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FriedrichsModel:
+    """Immutable, so what _memoized keeps in _memo stays valid."""
     omega1: float = 1.0
     lam: float = 0.1
     g: callable = field(default=_default_g)
     omega_max: float | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.omega1 <= 0:
             raise ValueError("omega1 must be positive")
         if self.omega_max is None:
-            self.omega_max = 20.0 * self.omega1
+            object.__setattr__(self, "omega_max", 20.0 * self.omega1)
         if self.omega1 >= self.omega_max:
             raise ValueError("omega1 must lie inside the band, below omega_max")
 
@@ -68,7 +76,6 @@ class ResonancePole:
 # the resolvent function alpha
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(400)
 _EPS = np.finfo(float).eps
 _POLE_TOL = 1e-12
 _POLE_MAX_ITER = 100
@@ -85,12 +92,37 @@ def _rows(n_cols: int) -> int:
     return 16 * max(1, _BLOCK // (16 * max(n_cols, 1)))
 
 
-def _diff_factors(a: np.ndarray, b: np.ndarray):
+@cache
+def _gauss_legendre():
+    """The 400-point Gauss-Legendre rule on [-1, 1], built on first use, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _memoized(model: FriedrichsModel, key, compute):
+    """compute() once per model and key, its arrays returned read-only."""
+    out = model._memo.get(key)
+    if out is None:
+        out = compute()
+        for x in out:
+            if isinstance(x, np.ndarray):
+                x.flags.writeable = False
+        model._memo[key] = out
+    return out
+
+
+def _diff_factors(a: np.ndarray, b: np.ndarray, shift: np.ndarray | None = None):
     """Factors L, R whose BLAS product L[rows] @ R is a[rows, None] - b[None, :]:
-    (a, 1) @ (1, -b).  Its products are exact, so each entry is rounded once,
-    as in the broadcast; with OpenBLAS the product runs about three times
+    (a, 1) @ (1, -b), or with a per-row shift (a - b) + shift[rows, None]:
+    (a, 1, shift) @ (1, -b, 1).  Its products are exact and OpenBLAS sums
+    them in column order (the tests check both forms bit for bit), so each
+    entry is rounded as in the broadcast; the product runs about three times
     faster than the broadcast ufunc."""
-    return np.column_stack((a, np.ones_like(a))), np.stack((np.ones_like(b), -b))
+    if shift is None:
+        return np.column_stack((a, np.ones_like(a))), np.stack((np.ones_like(b), -b))
+    return (np.column_stack((a, np.ones_like(a), shift)),
+            np.stack((np.ones_like(b), -b, np.ones_like(b))))
 
 
 def _cut_integral(z: np.ndarray, model: FriedrichsModel) -> np.ndarray:
@@ -108,8 +140,9 @@ def _cut_integral(z: np.ndarray, model: FriedrichsModel) -> np.ndarray:
     Row chunks keep memory O(len(z)).
     """
     w_max = model.omega_max
-    u = 0.5 * w_max * (_GL_NODES + 1.0)
-    wts = 0.5 * w_max * _GL_WEIGHTS
+    nodes, weights = _gauss_legendre()
+    u = 0.5 * w_max * (nodes + 1.0)
+    wts = 0.5 * w_max * weights
     g2u = model.g2(u)
     g2z = model.g2(z)
     i = np.clip(np.searchsorted(u, z.real), 1, u.size - 1)
@@ -224,13 +257,12 @@ def _secular_sums(d, z2, origin, y, sign, j):
     another chunking can change a sum in its last bit.
     """
     out = np.empty((4, y.size))
-    diff_l, diff_r = _diff_factors(origin, d)
+    diff_l, diff_r = _diff_factors(origin, d, sign * y)
     rows = _rows(d.size)
     for s in range(0, y.size, rows):
         r = slice(s, s + rows)
         lo, hi = j[r][0], j[r][-1]
         rec = diff_l[r] @ diff_r
-        rec += (sign[r] * y[r])[:, None]
         np.reciprocal(rec, out=rec)
         left = np.arange(lo, hi) < j[r, None]
         for k in (0, 2):  # q = z2 rec, then p = z2 rec^2
@@ -244,7 +276,13 @@ def _secular_sums(d, z2, origin, y, sign, j):
 
 def _arrowhead_spectrum(model: FriedrichsModel, n_modes: int = 2000):
     """Eigenvalues and weights |<1|l>|^2 of discretize(model, n_modes)[0],
-    without forming the matrix.
+    without forming the matrix: solved once per model and n_modes
+    (_solve_arrowhead) and returned read-only."""
+    return _memoized(model, ("spectrum", n_modes), lambda: _solve_arrowhead(model, n_modes))
+
+
+def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
+    """The spectrum of _arrowhead_spectrum.
 
     The Hamiltonian is an arrowhead [[omega1, c^T], [c, diag(w)]]; its
     eigenvalues are the roots of the secular function
@@ -347,13 +385,19 @@ def survival_amplitude_oracle(model: FriedrichsModel, t_grid,
 
 
 def spectral_density(model: FriedrichsModel, n_points: int = 40001):
-    """psi(omega) = lam^2 g^2 / |alpha(omega+i0)|^2 on a fine midpoint grid."""
+    """psi(omega) = lam^2 g^2 / |alpha(omega+i0)|^2 on a fine midpoint grid:
+    (omega grid, psi, d omega), computed once per model and n_points and
+    returned read-only."""
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    dw = model.omega_max / n_points
-    wgrid = (np.arange(n_points) + 0.5) * dw
-    psi = model.lam ** 2 * model.g2(wgrid) / np.abs(boundary_alpha(wgrid, model)) ** 2
-    return wgrid, psi, dw
+
+    def density():
+        dw = model.omega_max / n_points
+        wgrid = (np.arange(n_points) + 0.5) * dw
+        psi = model.lam ** 2 * model.g2(wgrid) / np.abs(boundary_alpha(wgrid, model)) ** 2
+        return wgrid, psi, dw
+
+    return _memoized(model, ("density", n_points), density)
 
 
 def _turns(b: float, n):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from decimal import Decimal, localcontext
 
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expi
 
-from arrowlab.friedrichs import (_GL_NODES, FriedrichsModel, _arrowhead_spectrum,
-                                 _cut_integral, _diff_factors, _secular_sums,
+from arrowlab import friedrichs
+from arrowlab.friedrichs import (FriedrichsModel, _arrowhead_spectrum,
+                                 _cut_integral, _diff_factors, _gauss_legendre,
+                                 _secular_sums,
                                  alpha, boundary_alpha, damping_matrix,
                                  discretize, find_pole, lambda_lyapunov,
                                  mixed_state_decay, pole_approximation,
@@ -109,7 +112,7 @@ def test_cut_rule_on_and_next_to_its_own_nodes():
     # omega on a Gauss-Legendre node makes the subtracted integrand 0/0 there,
     # and one ulp off it the quotient cancels; all 400 nodes span several
     # row chunks
-    nodes = 0.5 * MODEL.omega_max * (_GL_NODES + 1.0)
+    nodes = 0.5 * MODEL.omega_max * (_gauss_legendre()[0] + 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for w in (nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf)[1:],
@@ -247,6 +250,19 @@ def test_diff_factors_product_is_the_broadcast_difference(n_a, n_b, complex_a, s
     assert np.array_equal(left[1:] @ right, a[1:, None] - b[None, :])
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_a=st.integers(1, 40), n_b=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_diff_factors_shift_column_is_the_broadcast_sum(n_a, n_b, seed):
+    # the third column adds the row shift after the difference is rounded,
+    # as (a - b) + c does, so the two agree bit for bit
+    rng = np.random.default_rng(seed)
+    a, c = (rng.standard_normal(n_a) * 10.0 ** rng.uniform(-8, 8, n_a) for _ in range(2))
+    b = np.concatenate((a, rng.standard_normal(n_b) * 10.0 ** rng.uniform(-8, 8, n_b)))
+    left, right = _diff_factors(a, b, c)
+    assert np.array_equal(left @ right, (a[:, None] - b[None, :]) + c[:, None])
+    assert np.array_equal(left[1:] @ right, (a[1:, None] - b[None, :]) + c[1:, None])
+
+
 def _secular_sums_masked(d, z2, origin, y, sign, j):
     """The masked reductions the banded sums replaced: sum q, sum |q|, and
     the sums of p over the left and over the right poles."""
@@ -295,6 +311,51 @@ def test_quadrature_matches_direct_sum(t):
     direct = [np.sum(psi * np.exp(-1j * wgrid * s)) * dw for s in t]
     chirp = survival_amplitude_quadrature(MODEL, t, n_points=2001)
     assert np.abs(chirp - direct).max() < 1e-12
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(friedrichs, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(friedrichs, name, counted)
+    return calls
+
+
+def test_spectrum_and_density_are_solved_once_per_model_and_size(monkeypatch):
+    model = FriedrichsModel(omega1=1.0, lam=0.12)
+    sweeps = _count_calls(monkeypatch, "_secular_sums")
+    rules = _count_calls(monkeypatch, "_cut_integral")
+    evals, weights = spectrum = _arrowhead_spectrum(model, 401)
+    # one size for both: the memo keeps them apart
+    wgrid, psi, dw = density = spectral_density(model, 401)
+    solved = len(sweeps), len(rules)
+    assert min(solved) > 0
+    assert _arrowhead_spectrum(model, 401) is spectrum
+    assert spectral_density(model, 401) is density
+    survival_amplitude_oracle(model, [0.0, 1.0], n_modes=401)
+    survival_amplitude_quadrature(model, [0.0, 1.0], n_points=401)
+    assert (len(sweeps), len(rules)) == solved
+
+    assert _arrowhead_spectrum(model, 400)[0].size == 401
+    assert len(sweeps) > solved[0]
+    assert spectral_density(model, 400)[0].size == 400
+    assert len(rules) > solved[1]
+
+    for arr in (evals, weights, wgrid, psi):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.lam = 0.15
+
+    other = dataclasses.replace(model, lam=0.15)
+    assert other._memo == {} and other.omega_max == model.omega_max
+    assert dataclasses.replace(model) == model
+    assert not np.array_equal(_arrowhead_spectrum(other, 401)[0], evals)
+    assert _arrowhead_spectrum(model, 401) is spectrum
 
 
 def test_invalid_sizes_and_grids_rejected():

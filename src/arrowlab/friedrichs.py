@@ -17,7 +17,11 @@ O(N^2) time per sweep, whose sums are banded BLAS matrix-vector products.
 The quadrature sums the spectral density on an evenly spaced omega grid; for
 an evenly spaced t grid, which it requires, that sum is one chirp-z
 transform (Rabiner, Schafer & Rader 1969) done as a Bluestein FFT
-convolution in O(n_points + len(t)) memory.
+convolution in O(n_points + len(t)) memory.  survival_probability runs the
+two routes on two threads, the quadrature on a worker under the caller's
+numpy error state and the oracle on the calling thread, and joins the worker
+before it returns; their ufuncs, FFTs and BLAS calls release the GIL.  Each
+route raises ValueError when its largest phase argument is not finite.
 
 A FriedrichsModel is immutable: it computes its exact spectrum and its
 spectral density once per size and returns them read-only, so repeated
@@ -27,7 +31,9 @@ them.  The Gauss-Legendre rule behind alpha is built on first use.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -376,6 +382,7 @@ def survival_amplitude_oracle(model: FriedrichsModel, t_grid,
     spectrum of the discretized H (_arrowhead_spectrum), in O(N) memory."""
     evals, weights = _arrowhead_spectrum(model, n_modes)
     t_grid = np.asarray(t_grid, dtype=float).ravel()
+    _check_phase(float(np.abs(t_grid).max(initial=0.0)) * float(np.abs(evals).max()))
     out = np.empty(t_grid.size, dtype=complex)
     rows = _rows(evals.size)
     for s in range(0, t_grid.size, rows):
@@ -400,16 +407,25 @@ def spectral_density(model: FriedrichsModel, n_points: int = 40001):
     return _memoized(model, ("density", n_points), density)
 
 
+def _check_phase(largest: float):
+    """ValueError unless a route's largest phase argument is finite.  The
+    caller forms it from Python floats, which overflow to inf silently."""
+    if not math.isfinite(largest):
+        raise ValueError("t must be finite, and small enough that no survival phase overflows")
+
+
 def _turns(b: float, n):
     """frac(b*n) for integers 0 <= n < 2**52, to a few ulps of 1.
 
     b is split into two 26-bit halves and n into two 26-bit limbs, so each
     partial product is exact and its fraction is taken before any rounding.
+    Its largest intermediate, |b| max(2**27 + 1, n), must be finite.
     """
+    n = np.asarray(n, dtype=np.int64)
+    _check_phase(abs(b) * max(134217729.0, float(n.max(initial=0))))
     b_hi = 134217729.0 * b
     b_hi = b_hi - (b_hi - b)
     b_lo = b - b_hi
-    n = np.asarray(n, dtype=np.int64)
     n_hi = (n >> 26).astype(float) * 67108864.0
     n_lo = (n & 67108863).astype(float)
     parts = (b_hi * n_hi, b_hi * n_lo, b_lo * n_hi, b_lo * n_lo)
@@ -426,10 +442,11 @@ def survival_amplitude_quadrature(model: FriedrichsModel, t_grid,
     convolution done with FFTs, in O(n_points + len(t_grid)) memory.  Chirp
     phases are reduced mod 2 pi exactly (_turns), so they stay accurate
     however large k^2 dw dt grows.  An unevenly spaced t_grid raises
-    ValueError.
+    ValueError, and so do times at which a chirp phase overflows.
     """
-    wgrid, psi, dw = spectral_density(model, n_points)
     t_grid = np.asarray(t_grid, dtype=float).ravel()
+    _check_phase(float(np.abs(t_grid).max(initial=0.0)))
+    wgrid, psi, dw = spectral_density(model, n_points)
     n_t = t_grid.size
     if n_t == 0:
         return np.empty(0, dtype=complex)
@@ -438,8 +455,8 @@ def survival_amplitude_quadrature(model: FriedrichsModel, t_grid,
     if np.abs(t_grid - (t_grid[0] + m * dt)).max() > 64 * _EPS * np.abs(t_grid).max():
         raise ValueError("t_grid must be evenly spaced")
     # omega_k t_m / (2 pi) = u (2k + 1) + b (k^2 + m^2 - (m - k)^2 + m)
-    u = dw * t_grid[0] / (4.0 * np.pi)
-    b = dw * dt / (4.0 * np.pi)
+    u = float(dw) * float(t_grid[0]) / (4.0 * np.pi)
+    b = float(dw) * float(dt) / (4.0 * np.pi)
     k = np.arange(n_points)
     x = psi * dw * np.exp(-2j * np.pi * (_turns(u, 2 * k + 1) + _turns(b, k * k)))
     size = 1 << (n_points + n_t - 2).bit_length()
@@ -465,10 +482,16 @@ def survival_probability(model: FriedrichsModel, t_grid,
     """P(t) by the exact spectrum of the discretized H (the oracle) and by
     spectral-density quadrature, for an evenly spaced t_grid.
 
-    Times beyond half the discretization recurrence horizon are flagged:
-    there the oracle is contaminated by revivals.
+    The two routes run at once: the quadrature on a worker thread, in a copy
+    of the caller's context (numpy's error state lives in a context
+    variable), and the oracle on this thread.  The worker is joined before
+    either route's exception propagates.  Times beyond half the
+    discretization recurrence horizon are flagged: there the oracle is
+    contaminated by revivals.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t must be finite")
     if np.any(t_grid < 0):
         raise ValueError("t must be non-negative")
     pole = find_pole(model)  # before the quadrature: a level out of float range stops here
@@ -476,8 +499,13 @@ def survival_probability(model: FriedrichsModel, t_grid,
         p_a, p_b = np.ones_like(t_grid), np.ones_like(t_grid)
         flagged = np.zeros_like(t_grid, bool)
     else:
-        p_a = np.abs(survival_amplitude_oracle(model, t_grid, n_modes)) ** 2
-        p_b = np.abs(survival_amplitude_quadrature(model, t_grid, n_points)) ** 2
+        from concurrent.futures import ThreadPoolExecutor  # not on the CLI's import path
+
+        with ThreadPoolExecutor(1) as pool:
+            quadrature = pool.submit(contextvars.copy_context().run,
+                                     survival_amplitude_quadrature, model, t_grid, n_points)
+            p_a = np.abs(survival_amplitude_oracle(model, t_grid, n_modes)) ** 2
+            p_b = np.abs(quadrature.result()) ** 2
         flagged = t_grid > 0.5 * recurrence_time(model, n_modes)
     return {"t": t_grid, "p_oracle": p_a, "p_quadrature": p_b,
             "p_pole": pole_approximation(pole, t_grid), "flagged": flagged, "pole": pole}

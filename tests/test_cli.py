@@ -257,7 +257,8 @@ def test_empty_sizes_name_the_problem(tmp_path, capsys, argv, problem):
                                   ["baker-evolve", "--t", "-1"],
                                   ["renyi-spectral", "--t", "-1"],
                                   ["renyi-spectral", "--beta", "1"],
-                                  ["renyi-spectral", "--beta", "0", "--t", "0"]])
+                                  ["renyi-spectral", "--beta", "0", "--t", "0"],
+                                  ["friedrichs", "--t-max", "1e308", "--n-times", "2"]])
 def test_out_of_range_options_exit_1_without_warning(tmp_path, capsys, argv):
     out = tmp_path / "d"
     with warnings.catch_warnings():

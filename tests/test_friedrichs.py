@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import warnings
 from decimal import Decimal, localcontext
 
@@ -356,6 +358,95 @@ def test_spectrum_and_density_are_solved_once_per_model_and_size(monkeypatch):
     assert dataclasses.replace(model) == model
     assert not np.array_equal(_arrowhead_spectrum(other, 401)[0], evals)
     assert _arrowhead_spectrum(model, 401) is spectrum
+
+    # one survival_probability, its routes on two threads: one solve, one density
+    solves = _count_calls(monkeypatch, "_solve_arrowhead")
+    densities = _count_calls(monkeypatch, "boundary_alpha")
+    survival_probability(dataclasses.replace(model), [0.0, 1.0], n_modes=401, n_points=401)
+    assert (len(solves), len(densities)) == (1, 1)
+
+
+def test_concurrent_routes_match_sequential_bit_for_bit():
+    t = np.linspace(0.0, 50.0, 101)
+    for _ in range(5):
+        rep = survival_probability(dataclasses.replace(MODEL), t)
+        fresh = dataclasses.replace(MODEL)
+        p_oracle = np.abs(survival_amplitude_oracle(fresh, t)) ** 2
+        p_quadrature = np.abs(survival_amplitude_quadrature(fresh, t)) ** 2
+        assert np.array_equal(rep["p_oracle"], p_oracle)
+        assert np.array_equal(rep["p_quadrature"], p_quadrature)
+
+
+def test_concurrent_callers_share_one_model():
+    # 4 callers, each with its quadrature worker: 8 threads writing one model's memo
+    model = dataclasses.replace(MODEL)
+    t = np.linspace(0.0, 5.0, 11)
+    reference = survival_probability(dataclasses.replace(MODEL), t, n_modes=101, n_points=401)
+    reports, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=lambda: reports.append(
+            survival_probability(model, t, n_modes=101, n_points=401))) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers) and len(reports) == 4
+    for rep in reports:
+        assert np.array_equal(rep["p_oracle"], reference["p_oracle"])
+        assert np.array_equal(rep["p_quadrature"], reference["p_quadrature"])
+    assert sorted(model._memo) == [("density", 401), ("spectrum", 101)]
+
+
+@pytest.mark.parametrize("t, n_modes, problem", [([0.0, 1.0, 3.0], 401, "evenly spaced"),
+                                                 ([0.0, 1.0], 0, "n_modes")])
+def test_route_error_propagates_after_the_worker_is_joined(t, n_modes, problem):
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=problem):
+        survival_probability(dataclasses.replace(MODEL), t, n_modes=n_modes, n_points=401)
+    assert threading.active_count() == before
+
+
+def test_caller_error_state_reaches_the_quadrature_worker(monkeypatch):
+    seen = []
+    quadrature = friedrichs.survival_amplitude_quadrature
+
+    def spy(*args, **kwargs):
+        seen.append((np.geterr()["over"], threading.current_thread()))
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(friedrichs, "survival_amplitude_quadrature", spy)
+    with np.errstate(over="raise"):
+        survival_probability(dataclasses.replace(MODEL), [0.0, 1.0], n_modes=401, n_points=401)
+    (over, thread), = seen
+    assert over == "raise" and thread is not threading.current_thread()
+
+
+def test_times_that_overflow_a_phase_are_rejected():
+    model = dataclasses.replace(MODEL)
+    for t in ([np.nan], [0.0, np.inf]):
+        for route in (lambda t: survival_probability(model, t, n_modes=50, n_points=401),
+                      lambda t: survival_amplitude_oracle(model, t, 50),
+                      lambda t: survival_amplitude_quadrature(model, t, 401)):
+            with pytest.raises(ValueError, match="finite"):
+                route(t)
+    big = np.finfo(float).max
+    # the oracle's largest phase is t max|lambda|
+    oracle_limit = big / np.abs(_arrowhead_spectrum(model, 50)[0]).max()
+    assert np.isfinite(survival_amplitude_oracle(model, [0.999 * oracle_limit], 50)).all()
+    with pytest.raises(ValueError, match="overflows"):
+        survival_amplitude_oracle(model, [1.001 * oracle_limit], 50)
+    # the chirp's is (2**27 + 1) b, b = dw t / (4 pi), while n_points**2 < 2**27
+    chirp_limit = big / 134217729.0 * (4.0 * np.pi) / spectral_density(model, 401)[2]
+    assert chirp_limit < oracle_limit
+    before = threading.active_count()
+    rep = survival_probability(model, [0.0, 0.999 * chirp_limit], n_modes=50, n_points=401)
+    assert np.isfinite(rep["p_oracle"]).all() and np.isfinite(rep["p_quadrature"]).all()
+    with pytest.raises(ValueError, match="overflows"):
+        survival_probability(model, [0.0, 1.001 * chirp_limit], n_modes=50, n_points=401)
+    assert threading.active_count() == before
 
 
 def test_invalid_sizes_and_grids_rejected():

@@ -116,6 +116,9 @@ def recurrence_stats(spec: MapSpec, cells, level: int, n_samples: int,
     odd prime P = 2^61 - 1 and iterated exactly on integer numerators, so long
     orbits do not collapse in floating point: a step is r, X = divmod(b X, P),
     and y = Y/D takes Y += r D, D *= b.  Renyi points carry a dummy y = 0/1.
+    Candidates are drawn in blocks, one `rng.integers` call of one row (x, or
+    x then y) per sample still missing, so the stream and its order are those
+    of one draw per point and a block never overshoots `n_samples`.
     """
     cells = np.asarray(cells, dtype=bool)
     if not cells.any():
@@ -131,17 +134,17 @@ def recurrence_stats(spec: MapSpec, cells, level: int, n_samples: int,
     returned = np.zeros(max_t + 1)
     total = 0
     while total < n_samples:
-        x = int(rng.integers(0, p))
-        y, d = (0, 1) if renyi else (int(rng.integers(0, p)), p)
-        if not grid[x * n_cells // p, y * n_y // d]:
-            continue
-        total += 1
-        for t in range(1, max_t + 1):
-            r, x = divmod(b * x, p)
-            y, d = y + r * d, d * b
-            if grid[x * n_cells // p, y * n_y // d]:
-                returned[t:] += 1
-                break
+        for x, *ys in rng.integers(0, p, size=(n_samples - total, 1 if renyi else 2)).tolist():
+            y, d = (ys[0], p) if ys else (0, 1)
+            if not grid[x * n_cells // p, y * n_y // d]:
+                continue
+            total += 1
+            for t in range(1, max_t + 1):
+                r, x = divmod(b * x, p)
+                y, d = y + r * d, d * b
+                if grid[x * n_cells // p, y * n_y // d]:
+                    returned[t:] += 1
+                    break
     return {
         "n_samples": total,
         "seed": seed,

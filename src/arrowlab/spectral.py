@@ -7,14 +7,16 @@ exactly; `Poly.as_floats` is the one way out to float64.
 
 The Bernoulli numbers come from the recurrence
 sum_{k<=m} C(m+1, k) B_k = 0 (m >= 1, B_0 = 1, so B_1 = -1/2), and the
-polynomials from B_n(x) = sum_k C(n, k) B_{n-k} x^k, both in `Fraction`
-arithmetic.
+polynomials from B_n(x) = sum_k C(n, k) B_{n-k} x^k.  The sums run on
+integers: the numbers as a_k = B_k (n+1)!, and a polynomial's coefficients as
+integer numerators over their least common denominator, so each output
+coefficient is one `Fraction` built at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from numbers import Rational
 
 import numpy as np
@@ -27,7 +29,7 @@ class Poly:
     """Polynomial with exact rational (int or Fraction) coefficients, low order first."""
 
     def __init__(self, coeffs):
-        cs = list(coeffs)
+        cs = list(coeffs) or [0]
         if not all(isinstance(c, Rational) for c in cs):
             raise TypeError("Poly coefficients must be exact rationals (int or Fraction)")
         while len(cs) > 1 and cs[-1] == 0:
@@ -85,12 +87,25 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
+def _numerators(p: Poly):
+    """p's coefficients as integer numerators N_k over their least common
+    denominator D, so that c_k = N_k / D."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+
+
 def _bernoulli_polys(n_max: int, lo: int = 0) -> list:
-    """B_lo(x), ..., B_n_max(x), all from one run of the number recurrence."""
-    bs = [Fraction(1)]
+    """B_lo(x), ..., B_n_max(x), all from one run of the number recurrence.
+
+    It runs on the integers a_k = B_k f, f = (n_max + 1)!: the denominator of
+    B_k divides (k + 1)!, so every division by m + 1 is exact.
+    """
+    f = factorial(max(n_max + 1, 0))
+    a = [f]
     for m in range(1, n_max + 1):
-        bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
-    return [Poly([comb(n, k) * bs[n - k] for k in range(n + 1)]) for n in range(lo, n_max + 1)]
+        a.append(-sum(comb(m + 1, k) * ak for k, ak in enumerate(a)) // (m + 1))
+    return [Poly([Fraction(comb(n, k) * a[n - k], f) for k in range(n + 1)])
+            for n in range(lo, n_max + 1)]
 
 
 def bernoulli_poly(n: int) -> Poly:
@@ -104,17 +119,18 @@ def fp_poly(p: Poly, base: int) -> Poly:
     """Transfer operator on a polynomial: (1/b) sum_r p((x+r)/b), exact.
 
     Expanding ((x+r)/b)^k binomially, the sum over r needs only the integer
-    power sums S_m = sum_{r<b} r^m.
+    power sums S_m = sum_{r<b} r^m.  With c_k = N_k / D over n coefficients,
+    out_j = sum_k C(k, j) S_{k-j} N_k b^(n-1-k) / (D b^n), summed in integers.
     """
     if base < 2:
         raise ValueError("base must be >= 2")
-    s = [sum(r ** m for r in range(base)) for m in range(len(p.coeffs))]
-    out = [0] * len(p.coeffs)
-    for k, c in enumerate(p.coeffs):
-        ck = Fraction(c, base ** (k + 1))
-        for j in range(k + 1):
-            out[j] += comb(k, j) * s[k - j] * ck
-    return Poly(out)
+    num, den = _numerators(p)
+    n = len(num)
+    s = [sum(r ** m for r in range(base)) for m in range(n)]
+    w = [nk * base ** (n - 1 - k) for k, nk in enumerate(num)]
+    den *= base ** n
+    return Poly([Fraction(sum(comb(k, j) * s[k - j] * w[k] for k in range(j, n)), den)
+                 for j in range(n)])
 
 
 def expand(p: Poly, n_max: int | None = None):
@@ -122,18 +138,20 @@ def expand(p: Poly, n_max: int | None = None):
     for rational p.
 
     c_0 is the integral of p over [0, 1] and c_n = (p^(n-1)(1) - p^(n-1)(0))/n!
-    for n >= 1, taken along one pass over the derivatives of p.
+    for n >= 1.  With p's coefficients c_i = N_i / D as integer numerators
+    over a common denominator, these are c_0 = sum_i N_i / ((i + 1) D) and
+    c_n = sum_{i>=n} C(i, n-1) N_i / (n D), each summed in integers.
     """
     if n_max is None:
         n_max = p.degree
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = [p.integral01()]
-    q = p
+    num, den = _numerators(p)
+    m = lcm(*range(1, len(num) + 1))
+    out = [Fraction(sum(nk * (m // (k + 1)) for k, nk in enumerate(num)), m * den)]
     for n in range(1, n_max + 1):
-        out.append(Fraction(q(1) - q(0), factorial(n)))
-        q = q.derivative()
-    return out[:n_max + 1]
+        out.append(Fraction(sum(comb(i, n - 1) * num[i] for i in range(n, len(num))), n * den))
+    return out
 
 
 def reconstruct(coeffs) -> Poly:

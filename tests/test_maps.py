@@ -172,6 +172,45 @@ def test_recurrence_matches_fraction_orbits(kind, base, level, fill, cell_seed,
     _check_recurrence(kind, base, level, fill, cell_seed, n_samples, max_t, seed)
 
 
+def _recurrence_scalar_draws(spec, cells, level, n_samples, max_t, seed):
+    """recurrence_stats on integer numerators with one scalar draw per
+    coordinate (x, then y for the baker), the loop the block draws replace."""
+    rng = np.random.default_rng(seed)
+    p = (1 << 61) - 1
+    b, n_cells = spec.base, spec.base ** level
+    renyi = spec.kind == "renyi"
+    grid, n_y = (cells[:, None], 1) if renyi else (cells, n_cells)
+    returned = np.zeros(max_t + 1)
+    total = 0
+    while total < n_samples:
+        x = int(rng.integers(0, p))
+        y, d = (0, 1) if renyi else (int(rng.integers(0, p)), p)
+        if not grid[x * n_cells // p, y * n_y // d]:
+            continue
+        total += 1
+        for t in range(1, max_t + 1):
+            r, x = divmod(b * x, p)
+            y, d = y + r * d, d * b
+            if grid[x * n_cells // p, y * n_y // d]:
+                returned[t:] += 1
+                break
+    return total, returned / total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["renyi", "baker"]), st.integers(2, 5), st.integers(1, 2),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1), st.integers(1, 400),
+       st.integers(0, 30), st.integers(0, 2 ** 31 - 1))
+def test_recurrence_block_draws_match_scalar_draws(kind, base, level, fill, cell_seed,
+                                                   n_samples, max_t, seed):
+    spec = MapSpec(kind, base)
+    cells = _random_cells(kind, base, level, fill, cell_seed)
+    res = recurrence_stats(spec, cells, level, n_samples=n_samples, max_t=max_t, seed=seed)
+    total, fraction = _recurrence_scalar_draws(spec, cells, level, n_samples, max_t, seed)
+    assert res["n_samples"] == total == n_samples
+    assert res["return_fraction"].tobytes() == fraction.tobytes()
+
+
 def test_recurrence_baker_denominator_past_64_bits():
     # one cell of 625: most orbits run all 30 steps, so D_y = P 5^t passes 2^64
     y_denom = _check_recurrence("baker", 5, 2, 0.0, 3, 10, 30, 1)

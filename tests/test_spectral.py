@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrowlab.spectral import (Poly, _bernoulli_polys, basis_table,
@@ -181,3 +182,71 @@ def test_basis_table_header():
     lines = text.splitlines()
     assert lines[0] == "x,B0,B1,B2,B3"
     assert len(lines) == 6
+
+
+def test_empty_poly_is_the_zero_poly():
+    assert Poly([]).coeffs == (0,)
+    assert Poly([]).degree == 0
+    assert Poly([]) == Poly([0])
+    assert expand(Poly([])) == [Fraction(0)]
+
+
+# Reference kernels: the term-by-term Fraction loops that the integer-numerator
+# kernels replace.  Both must give the same Fraction for every coefficient.
+
+def _fp_poly_loop(p, base):
+    s = [sum(r ** m for r in range(base)) for m in range(len(p.coeffs))]
+    out = [0] * len(p.coeffs)
+    for k, c in enumerate(p.coeffs):
+        ck = Fraction(c, base ** (k + 1))
+        for j in range(k + 1):
+            out[j] += comb(k, j) * s[k - j] * ck
+    return Poly(out)
+
+
+def _expand_loop(p, n_max):
+    out = [p.integral01()]
+    q = p
+    for n in range(1, n_max + 1):
+        out.append(Fraction(q(1) - q(0), factorial(n)))
+        q = q.derivative()
+    return out
+
+
+def _bernoulli_loop(n_max, lo=0):
+    bs = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        bs.append(-sum(comb(m + 1, k) * b for k, b in enumerate(bs)) / (m + 1))
+    return [Poly([comb(n, k) * bs[n - k] for k in range(n + 1)]) for n in range(lo, n_max + 1)]
+
+
+def _typed(cs):
+    return [(type(c), c) for c in cs]
+
+
+_coeff = st.one_of(st.integers(-10 ** 9, 10 ** 9),
+                   st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)))
+_poly = st.lists(_coeff, min_size=1, max_size=21).map(Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly, st.integers(2, 7))
+def test_fp_poly_matches_fraction_loop(p, base):
+    assert _typed(fp_poly(p, base).coeffs) == _typed(_fp_poly_loop(p, base).coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly, st.integers(0, 6))
+def test_expand_matches_fraction_loop(p, extra):
+    assert _typed(expand(p)) == _typed(_expand_loop(p, p.degree))
+    n_max = p.degree + extra
+    assert _typed(expand(p, n_max)) == _typed(_expand_loop(p, n_max))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 40), st.data())
+def test_bernoulli_polys_match_fraction_loop(n_max, data):
+    lo = data.draw(st.integers(0, n_max))
+    got, want = _bernoulli_polys(n_max, lo), _bernoulli_loop(n_max, lo)
+    assert [_typed(b.coeffs) for b in got] == [_typed(b.coeffs) for b in want]
+    assert _typed(bernoulli_poly(n_max).coeffs) == _typed(want[-1].coeffs)

@@ -9,19 +9,23 @@ one rule for int g^2(u)/(z-u) du that subtracts the singularity at z itself
 and stays accurate right up to the cut; it evaluates g at complex z, so a
 custom g must accept complex input.
 
-The two survival routes share no numerics and neither builds an O(N^2) or
-O(N*M) array.  The oracle finds the exact spectrum of the N-mode
+The two survival routes share no numerics, only the check that the t grid
+is evenly spaced, which both need, and neither builds an O(N^2) or
+O(N*len(t)) array.  The oracle finds the exact spectrum of the N-mode
 discretization, an arrowhead matrix, from its secular equation by a
 safeguarded rational iteration (Gu & Eisenstat 1995), in O(N) memory and
-O(N^2) time per sweep, whose sums are banded BLAS matrix-vector products.
-The quadrature sums the spectral density on an evenly spaced omega grid; for
-an evenly spaced t grid, which it requires, that sum is one chirp-z
-transform (Rabiner, Schafer & Rader 1969) done as a Bluestein FFT
-convolution in O(n_points + len(t)) memory.  survival_probability runs the
-two routes on two threads, the quadrature on a worker under the caller's
-numpy error state and the oracle on the calling thread, and joins the worker
-before it returns; their ufuncs, FFTs and BLAS calls release the GIL.  Each
-route raises ValueError when its largest phase argument is not finite.
+O(N^2) time per sweep, whose sums are banded BLAS matrix-vector products;
+its phase table is factored over the time lattice, so cos and sin run
+O(sqrt(len(t))) times per eigenvalue, in O(N*sqrt(len(t))) memory.  The
+quadrature sums the spectral density on an evenly spaced omega grid; over
+the t grid that sum is one chirp-z transform (Rabiner, Schafer & Rader
+1969) done as a Bluestein FFT convolution of 5-smooth length in
+O(n_points + len(t)) memory.  survival_probability runs the two routes on
+two threads, the quadrature on a worker under the caller's numpy error
+state and the oracle on the calling thread, and joins the worker before it
+returns; their ufuncs, FFTs and BLAS calls release the GIL.  Each route
+raises ValueError when its largest phase argument is not finite, and then
+when its t grid is not evenly spaced.
 
 A FriedrichsModel is immutable: it computes its exact spectrum and its
 spectral density once per size and returns them read-only, so repeated
@@ -379,16 +383,42 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
 def survival_amplitude_oracle(model: FriedrichsModel, t_grid,
                               n_modes: int = 2000):
     """A(t) = <1|e^{-iHt}|1> = sum_l |<1|l>|^2 e^{-ilt} over the exact
-    spectrum of the discretized H (_arrowhead_spectrum), in O(N) memory."""
+    spectrum of the discretized H (_arrowhead_spectrum), for an evenly
+    spaced t_grid (_even_grid).
+
+    The phase table is factored over the time lattice: with t_m = t_0 + m dt
+    and m = q B + r, B = ceil(sqrt(len(t_grid))),
+        e^{-il t_m} = e^{-il (t_0 + r dt)} e^{-il q B dt},
+    so cos and sin run on B offset rows and ceil(len/B) block rows, not on
+    every (time, eigenvalue) pair, and each block of B times is two real
+    matrix-vector products of the offset table with that block's weighted
+    rows, in O(sqrt(len(t_grid)) N) memory.  Times at which a factor's phase,
+    at most max(max|t|, |t_last - t_0|) max|l|, overflows raise ValueError.
+    """
     evals, weights = _arrowhead_spectrum(model, n_modes)
     t_grid = np.asarray(t_grid, dtype=float).ravel()
-    _check_phase(float(np.abs(t_grid).max(initial=0.0)) * float(np.abs(evals).max()))
-    out = np.empty(t_grid.size, dtype=complex)
-    rows = _rows(evals.size)
-    for s in range(0, t_grid.size, rows):
-        ph = np.outer(t_grid[s:s + rows], evals)
-        out[s:s + rows] = np.cos(ph) @ weights - 1j * (np.sin(ph, out=ph) @ weights)
-    return out
+    n_t = t_grid.size
+    span = abs(float(t_grid[-1]) - float(t_grid[0])) if n_t else 0.0
+    _check_phase(max(float(np.abs(t_grid).max(initial=0.0)), span) * float(np.abs(evals).max()))
+    t0, dt = _even_grid(t_grid)
+    if n_t == 0:
+        return np.empty(0, dtype=complex)
+    b = math.isqrt(n_t - 1) + 1
+    table = np.empty((2 * b, evals.size))  # cos, then sin, at the offsets t_0 + r dt
+    np.multiply.outer(t0 + np.arange(b) * dt, evals, out=table[b:])
+    np.cos(table[b:], out=table[:b])
+    np.sin(table[b:], out=table[b:])
+    ph = np.outer(np.arange(0, n_t, b) * dt, evals)
+    w_cos = np.cos(ph)
+    w_cos *= weights
+    w_sin = np.sin(ph, out=ph)
+    w_sin *= weights
+    out = np.empty(w_cos.shape[0] * b, dtype=complex)
+    for q in range(w_cos.shape[0]):
+        # sum w e^{-il(t_0 + r dt)} e^{-il q b dt} = sum (cos - i sin)(w_cos - i w_sin)
+        c, s = table @ w_cos[q], table @ w_sin[q]
+        out[q * b:(q + 1) * b] = (c[:b] - s[b:]) - 1j * (c[b:] + s[:b])
+    return out[:n_t]
 
 
 def spectral_density(model: FriedrichsModel, n_points: int = 40001):
@@ -414,6 +444,23 @@ def _check_phase(largest: float):
         raise ValueError("t must be finite, and small enough that no survival phase overflows")
 
 
+def _even_grid(t: np.ndarray):
+    """(t_0, dt) of a flat grid t_m = t_0 + m dt, the one both survival
+    routes need; (0, 0) for an empty grid and (t_0, 0) for one time.
+    ValueError unless every time lies within 64 eps max|t| of its lattice
+    point, and, before that, unless the grid's span is finite."""
+    n_t = t.size
+    if n_t < 2:
+        return (float(t[0]) if n_t else 0.0), 0.0
+    t0 = float(t[0])
+    span = float(t[-1]) - t0
+    _check_phase(span)
+    dt = span / (n_t - 1)
+    if np.abs(t - (t0 + np.arange(n_t) * dt)).max() > 64 * _EPS * np.abs(t).max():
+        raise ValueError("t_grid must be evenly spaced")
+    return t0, dt
+
+
 def _turns(b: float, n):
     """frac(b*n) for integers 0 <= n < 2**52, to a few ulps of 1.
 
@@ -432,39 +479,53 @@ def _turns(b: float, n):
     return sum(x - np.floor(x) for x in parts)
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 2**a 3**b 5**c >= n (n >= 1), a length numpy's FFT
+    runs at full speed; the next power of two can be almost 2 n."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        smooth = odd
+        while smooth < best:
+            best = min(best, smooth << (-(-n // smooth) - 1).bit_length())
+            smooth *= 3
+        odd *= 5
+    return best
+
+
 def survival_amplitude_quadrature(model: FriedrichsModel, t_grid,
                                   n_points: int = 40001):
     """A(t) = int psi(omega) e^{-i omega t} domega as the midpoint sum over
-    the spectral_density grid, for an evenly spaced t_grid.
+    the spectral_density grid, for an evenly spaced t_grid (_even_grid).
 
     With omega_k = (k + 1/2) dw and t_m = t_0 + m dt the sum is a chirp-z
     transform: k m = (k^2 + m^2 - (m - k)^2)/2 turns it into one Bluestein
-    convolution done with FFTs, in O(n_points + len(t_grid)) memory.  Chirp
-    phases are reduced mod 2 pi exactly (_turns), so they stay accurate
-    however large k^2 dw dt grows.  An unevenly spaced t_grid raises
-    ValueError, and so do times at which a chirp phase overflows.
+    convolution, done with FFTs of a 5-smooth length (_fft_size) in
+    O(n_points + len(t_grid)) memory.  Chirp phases are reduced mod 2 pi
+    exactly (_turns), so they stay accurate however large k^2 dw dt grows;
+    the chirp b k^2 is computed once and serves the input and both halves of
+    the kernel, whose lags are squared.  Times at which a chirp phase
+    overflows raise ValueError.
     """
     t_grid = np.asarray(t_grid, dtype=float).ravel()
     _check_phase(float(np.abs(t_grid).max(initial=0.0)))
     wgrid, psi, dw = spectral_density(model, n_points)
+    t0, dt = _even_grid(t_grid)
     n_t = t_grid.size
     if n_t == 0:
         return np.empty(0, dtype=complex)
-    m = np.arange(n_t)
-    dt = (t_grid[-1] - t_grid[0]) / (n_t - 1) if n_t > 1 else 0.0
-    if np.abs(t_grid - (t_grid[0] + m * dt)).max() > 64 * _EPS * np.abs(t_grid).max():
-        raise ValueError("t_grid must be evenly spaced")
     # omega_k t_m / (2 pi) = u (2k + 1) + b (k^2 + m^2 - (m - k)^2 + m)
-    u = float(dw) * float(t_grid[0]) / (4.0 * np.pi)
-    b = float(dw) * float(dt) / (4.0 * np.pi)
-    k = np.arange(n_points)
-    x = psi * dw * np.exp(-2j * np.pi * (_turns(u, 2 * k + 1) + _turns(b, k * k)))
-    size = 1 << (n_points + n_t - 2).bit_length()
-    lag = np.arange(1 - n_points, n_t)
+    u = float(dw) * t0 / (4.0 * np.pi)
+    b = float(dw) * dt / (4.0 * np.pi)
+    k = np.arange(max(n_points, n_t))
+    chirp = _turns(b, k * k)
+    x = psi * dw * np.exp(-2j * np.pi * (_turns(u, 2 * k[:n_points] + 1) + chirp[:n_points]))
+    size = _fft_size(n_points + n_t - 1)
     kernel = np.zeros(size, dtype=complex)
-    kernel[lag] = np.exp(2j * np.pi * _turns(b, lag * lag))
+    kernel[:n_t] = np.exp(2j * np.pi * chirp[:n_t])
+    kernel[size - n_points + 1:] = np.exp(2j * np.pi * chirp[n_points - 1:0:-1])
     conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(kernel))[:n_t]
-    return conv * np.exp(-2j * np.pi * _turns(b, m * (m + 1)))
+    return conv * np.exp(-2j * np.pi * _turns(b, k[:n_t] * (k[:n_t] + 1)))
 
 
 def pole_approximation(pole: ResonancePole, t):
@@ -480,7 +541,9 @@ def recurrence_time(model: FriedrichsModel, n_modes: int = 2000) -> float:
 def survival_probability(model: FriedrichsModel, t_grid,
                          n_modes: int = 2000, n_points: int = 40001):
     """P(t) by the exact spectrum of the discretized H (the oracle) and by
-    spectral-density quadrature, for an evenly spaced t_grid.
+    spectral-density quadrature, for an evenly spaced t_grid; a scalar or an
+    array of any shape is read as the flat grid, and every array of the
+    report has its length.
 
     The two routes run at once: the quadrature on a worker thread, in a copy
     of the caller's context (numpy's error state lives in a context
@@ -489,7 +552,7 @@ def survival_probability(model: FriedrichsModel, t_grid,
     discretization recurrence horizon are flagged: there the oracle is
     contaminated by revivals.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
     if not np.all(np.isfinite(t_grid)):
         raise ValueError("t must be finite")
     if np.any(t_grid < 0):

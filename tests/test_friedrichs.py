@@ -315,6 +315,69 @@ def test_quadrature_matches_direct_sum(t):
     assert np.abs(chirp - direct).max() < 1e-12
 
 
+def _direct_phase_sum(evals, weights, t):
+    """sum_l w_l e^{-i l t} with cos and sin at every (time, eigenvalue) pair."""
+    out = np.empty(t.size, dtype=complex)
+    for s in range(0, t.size, 32):
+        ph = np.outer(t[s:s + 32], evals)
+        out[s:s + 32] = np.cos(ph) @ weights - 1j * (np.sin(ph, out=ph) @ weights)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_t=st.integers(1, 2500), n_modes=st.integers(1, 400), t0=st.floats(-1000.0, 1000.0),
+       log_dt=st.floats(-4.0, 1.0), lam=st.floats(0.01, 1.0), omega1=st.floats(0.1, 10.0))
+def test_factored_oracle_matches_direct_phase_sum(n_t, n_modes, t0, log_dt, lam, omega1):
+    # each factor's phase is rounded once, as the direct phase is, so the
+    # error stays a few eps of the largest phase
+    model = FriedrichsModel(omega1=omega1, lam=lam)
+    t = t0 + 10.0 ** log_dt * np.arange(n_t)
+    evals, weights = _arrowhead_spectrum(model, n_modes)
+    got = survival_amplitude_oracle(model, t, n_modes)
+    bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(t).max() * np.abs(evals).max())
+    assert got.shape == (n_t,)
+    assert np.abs(got - _direct_phase_sum(evals, weights, t)).max() <= bound
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double has no extra precision here")
+def test_factored_oracle_is_as_accurate_as_the_direct_sum():
+    # criterion 07's grid, against the phase sum in long double
+    t = np.linspace(0.0, 200.0, 401)
+    evals, weights = _arrowhead_spectrum(MODEL, 2000)
+    ph = np.outer(t.astype(np.longdouble), evals.astype(np.longdouble))
+    wl = weights.astype(np.longdouble)
+    exact = (np.cos(ph) @ wl).astype(float) - 1j * (np.sin(ph) @ wl).astype(float)
+    factored = np.abs(survival_amplitude_oracle(MODEL, t) - exact).max()
+    assert factored <= np.abs(_direct_phase_sum(evals, weights, t) - exact).max()
+    assert factored < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_points=st.integers(1, 3000), n_t=st.integers(1, 200), t0=st.floats(-350.0, 350.0),
+       span=st.floats(1e-3, 350.0))
+def test_quadrature_matches_direct_sum_on_random_grids(n_points, n_t, t0, span):
+    wgrid, psi, dw = spectral_density(MODEL, n_points)
+    t = t0 + span / max(n_t - 1, 1) * np.arange(n_t)
+    direct = np.exp(-1j * np.outer(t, wgrid)) @ psi * dw
+    chirp = survival_amplitude_quadrature(MODEL, t, n_points=n_points)
+    assert chirp.shape == (n_t,)
+    assert np.abs(chirp - direct).max() < 1e-12
+
+
+def test_fft_size_is_the_next_5_smooth_length():
+    smooth = np.array(sorted(2 ** a * 3 ** b * 5 ** c for a in range(18)
+                             for b in range(12) for c in range(9)))
+    smooth = smooth[smooth <= 2 * 10 ** 5]
+    # every n up to 3000, each 5-smooth length up to 10**5 with its
+    # neighbours, and 5000 more n drawn from [1, 10**5]
+    n = np.union1d(np.arange(1, 3001), (smooth[:, None] + [-1, 0, 1]).ravel())
+    n = np.union1d(n, np.random.default_rng(20).integers(1, 10 ** 5 + 1, 5000))
+    n = n[(n >= 1) & (n <= 10 ** 5)]
+    expected = smooth[np.searchsorted(smooth, n)]
+    assert [friedrichs._fft_size(int(k)) for k in n] == expected.tolist()
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(friedrichs, name)
@@ -458,6 +521,54 @@ def test_invalid_sizes_and_grids_rejected():
         discretize(MODEL, 0)
     with pytest.raises(ValueError):
         spectral_density(MODEL, 0)
+
+
+@pytest.mark.parametrize("route, size", [(survival_amplitude_oracle, 50),
+                                         (survival_amplitude_quadrature, 401)])
+def test_routes_share_the_grid_contract(route, size):
+    model = dataclasses.replace(MODEL)
+    for t in ([0.0, 1.0, 3.0], [[0.0, 1.0], [2.0, 2.5]]):
+        with pytest.raises(ValueError, match="t_grid must be evenly spaced"):
+            route(model, t, size)
+    for t in ([], np.empty((0, 3))):
+        empty = route(model, t, size)
+        assert empty.shape == (0,) and empty.dtype == complex
+    # a descending grid is evenly spaced too
+    t = np.linspace(5.0, 0.0, 11)
+    assert np.allclose(route(model, t, size), route(model, t[::-1].copy(), size)[::-1],
+                       rtol=0.0, atol=1e-14)
+
+
+def test_grid_spans_that_overflow_a_phase_are_rejected():
+    # every time is finite and below the single-time limits, but the block
+    # phase (n - 1) dt max|lambda| of the oracle, or the span t_last - t_0 of
+    # the quadrature, overflows
+    model = dataclasses.replace(MODEL)
+    big = np.finfo(float).max
+    oracle_limit = big / np.abs(_arrowhead_spectrum(model, 50)[0]).max()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="overflows"):
+            survival_amplitude_oracle(model, [-0.6 * oracle_limit, 0.0, 0.6 * oracle_limit], 50)
+        with pytest.raises(ValueError, match="overflows"):
+            survival_amplitude_quadrature(model, [-0.6 * big, 0.6 * big], 401)
+        assert np.isfinite(survival_amplitude_oracle(
+            model, [0.0, 0.4 * oracle_limit, 0.8 * oracle_limit], 50)).all()
+
+
+def test_survival_report_is_flat_for_any_grid_shape():
+    # every array of the report, and so each CSV row, has one entry per time
+    flat = survival_probability(dataclasses.replace(MODEL), np.arange(6.0), n_modes=50,
+                                n_points=401)
+    for t, n in ((np.arange(6.0).reshape(2, 3), 6), (4.0, 1), ([[4.0]], 1)):
+        rep = survival_probability(dataclasses.replace(MODEL), t, n_modes=50, n_points=401)
+        for key in ("t", "p_oracle", "p_quadrature", "p_pole", "flagged"):
+            assert rep[key].shape == (n,)
+        assert len(survival_to_csv(rep).splitlines()) == n + 1
+    for key in ("p_oracle", "p_quadrature", "p_pole"):
+        assert np.array_equal(
+            survival_probability(dataclasses.replace(MODEL), np.arange(6.0).reshape(2, 3),
+                                 n_modes=50, n_points=401)[key], flat[key])
 
 
 def test_survival_two_paths_and_regimes():

@@ -180,8 +180,7 @@ def cmd_lambda_lyapunov(args, rng):
 
 
 def cmd_cosmo_gap(args, rng):
-    params = cosmo.CosmoParams(t0=1.0, temp0=args.t0_temp, omega1=args.omega1,
-                               gamma=args.gamma_t0)
+    params = cosmo.CosmoParams(temp0=args.t0_temp, omega1=args.omega1, gamma=args.gamma_t0)
     t_grid = np.geomspace(0.01, 1e4, 200)
     roots = cosmo.critical_times(params)
     return ({"gap.csv": cosmo.gap_to_csv(params, t_grid),

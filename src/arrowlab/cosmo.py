@@ -1,7 +1,9 @@
 """Relativistic thermodynamic boosts, Robertson-Walker entropy bookkeeping,
 and the matter-era entropy-gap model with its two critical times.
 
-Units: c = hbar = k_B = 1; times in units of t0 unless stated.
+Units: c = hbar = k_B = 1; time in units of the present age t0, the scale
+factor in units of its present value a0 = a(t0), and the entropy gap in
+units of its normalization C', so t0 = a0 = C' = 1 throughout.
 """
 
 from __future__ import annotations
@@ -28,23 +30,21 @@ class ThermoState:
     t: float
 
     def __post_init__(self):
-        if self.v <= 0 or self.t <= 0:
-            raise ValueError("volume and temperature must be positive")
+        if not (0 < self.v < math.inf and 0 < self.t < math.inf
+                and all(map(math.isfinite, (self.p, self.e, self.q, self.s)))):
+            raise ValueError("volume and temperature must be positive, and every quantity finite")
 
 
 @dataclass(frozen=True)
 class CosmoParams:
-    t0: float = 1.0        # present age
     temp0: float = 1.0     # present radiation temperature
     omega1: float = 1.5    # characteristic nuclear energy
     gamma: float = 0.1     # relaxation rate 1/t_NR
-    a0: float = 1.0        # present scale factor
-    c_prime: float = 1.0   # overall gap normalization
 
     def __post_init__(self):
-        for name in ("t0", "temp0", "omega1", "gamma", "a0", "c_prime"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("temp0", "omega1", "gamma"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +87,18 @@ def boost_work(dw0: float, d_enthalpy0: float, u: float) -> float:
 # ---------------------------------------------------------------------------
 
 def radiation_temperature(a, params: CosmoParams):
-    """T = T0 a0 / a for free radiation in an expanding universe."""
+    """T = T0 / a for free radiation in an expanding universe."""
     a = np.asarray(a, dtype=float)
     if np.any(a <= 0):
         raise ValueError("scale factor must be positive")
-    out = params.temp0 * params.a0 / a
+    out = params.temp0 / a
     return out if out.ndim else float(out)
 
 
-def blackbody_comoving_entropy(a, params: CosmoParams, c_s: float = 1.0):
-    """(4/3) C_S T^3 a^3: constant when T follows the radiation law."""
+def blackbody_comoving_entropy(a, params: CosmoParams):
+    """(4/3) T^3 a^3: constant when T follows the radiation law."""
     t = radiation_temperature(a, params)
-    return 4.0 / 3.0 * c_s * np.asarray(t) ** 3 * np.asarray(a) ** 3
+    return 4.0 / 3.0 * np.asarray(t) ** 3 * np.asarray(a) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -106,43 +106,42 @@ def blackbody_comoving_entropy(a, params: CosmoParams, c_s: float = 1.0):
 # ---------------------------------------------------------------------------
 
 def scale_factor(t, params: CosmoParams):
-    """Matter-era a(t) = a0 (t/t0)^(2/3)."""
-    t = np.asarray(t, dtype=float)
+    """Matter-era a(t) = t^(2/3)."""
+    # [()] keeps a scalar t a np.float64, whose ** is libm pow: numpy's SIMD
+    # power loop for arrays can differ from it in the last bit
+    t = np.asarray(t, dtype=float)[()]
     if np.any(t <= 0):
         raise ValueError("t must be positive")
-    return params.a0 * (t / params.t0) ** (2.0 / 3.0)
+    return t ** (2.0 / 3.0)
 
 
 def entropy_gap(t, params: CosmoParams):
-    """Delta S(t) = C' e^{-gamma t} a^{-3/2} e^{omega1 a/(T0 a0)}."""
+    """Delta S(t) = e^{-gamma t} a^{-3/2} e^{omega1 a/T0}."""
     t = np.asarray(t, dtype=float)
     a = scale_factor(t, params)
-    rel = a / params.a0
     # evaluate in log space so the damping and growth factors cannot
     # produce 0 * inf at extreme times
-    log_gap = np.log(params.c_prime) - params.gamma * t \
-        - 1.5 * np.log(rel) + params.omega1 * rel / params.temp0
+    log_gap = -params.gamma * t - 1.5 * np.log(a) + params.omega1 * a / params.temp0
     out = np.exp(log_gap)
     return out if out.ndim else float(out)
 
 
 def entropy_gap_rate(t, params: CosmoParams):
     """Logarithmic derivative of the gap:
-    -gamma - 1/t + (2 omega1/(3 T0 t0)) (t0/t)^(1/3)."""
+    -gamma - 1/t + (2 omega1/(3 T0)) (1/t)^(1/3)."""
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("t must be positive")
     out = -params.gamma - 1.0 / t \
-        + 2.0 * params.omega1 / (3.0 * params.temp0 * params.t0) \
-        * (params.t0 / t) ** (1.0 / 3.0)
+        + 2.0 * params.omega1 / (3.0 * params.temp0) * (1.0 / t) ** (1.0 / 3.0)
     return out if out.ndim else float(out)
 
 
 def critical_times(params: CosmoParams) -> dict:
-    """Zeros of the gap rate via the substitution u = (t0/t)^(1/3).
+    """Zeros of the gap rate via the substitution u = (1/t)^(1/3).
 
     The rate vanishes where u^3 - A u + B = 0 with A = 2 omega1/(3 T0) and
-    B = gamma t0.  For 0 < B < 2(A/3)^(3/2) there are two positive roots:
+    B = gamma.  For 0 < B < 2(A/3)^(3/2) there are two positive roots:
     the larger u is the early minimum t_cr1, the smaller the late maximum
     t_cr2.  Returns the exact roots plus the small/large-root asymptotics.
 
@@ -151,11 +150,11 @@ def critical_times(params: CosmoParams) -> dict:
     of the three roots, so it keeps its relative accuracy as B -> 0.
     """
     a_coef = 2.0 * params.omega1 / (3.0 * params.temp0)
-    b_coef = params.gamma * params.t0
+    b_coef = params.gamma
     try:
         # local minimum of the cubic at u = sqrt(A/3)
         disc = 2.0 * (a_coef / 3.0) ** 1.5 - b_coef
-        asymptotic = [params.t0 * (1.0 / a_coef) ** 1.5, params.t0 * (a_coef / b_coef) ** 3]
+        asymptotic = [(1.0 / a_coef) ** 1.5, (a_coef / b_coef) ** 3]
     except ArithmeticError:  # a float power overflows, or A underflowed to 0
         asymptotic = [math.inf]
     if not all(map(math.isfinite, [a_coef, b_coef, *asymptotic])):
@@ -175,7 +174,7 @@ def critical_times(params: CosmoParams) -> dict:
     u_small = -b_coef / (u_big * u_neg)
     out["roots_u"] = [u_small, u_big]
     # larger u = earlier time
-    out["times"] = [params.t0 / u_big ** 3, params.t0 / u_small ** 3]
+    out["times"] = [1.0 / u_big ** 3, 1.0 / u_small ** 3]
     out["residuals"] = [abs(entropy_gap_rate(t, params)) for t in out["times"]]
     return out
 

@@ -3,7 +3,7 @@ second-sheet zero (the resonance pole), survival probability by two
 independent routes, mixed-state decay splits, the thermal many-mode state
 and the Lambda-trace Lyapunov functional.
 
-Conventions: hbar = 1, continuum on [0, omega_max], default form factor
+Conventions: hbar = 1, continuum on [0, 20 omega1], default form factor
 g(omega) = exp(-omega/2).  alpha on both sheets and on the cut comes from
 one rule for int g^2(u)/(z-u) du that subtracts the singularity at z itself
 and stays accurate right up to the cut; it evaluates g at complex z, so a
@@ -56,16 +56,17 @@ class FriedrichsModel:
     omega1: float = 1.0
     lam: float = 0.1
     g: callable = field(default=_default_g)
-    omega_max: float | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.omega1 <= 0:
-            raise ValueError("omega1 must be positive")
-        if self.omega_max is None:
-            object.__setattr__(self, "omega_max", 20.0 * self.omega1)
-        if self.omega1 >= self.omega_max:
-            raise ValueError("omega1 must lie inside the band, below omega_max")
+        if not 0 < 20.0 * float(self.omega1) < math.inf:
+            raise ValueError("omega1 must be positive, with the band top 20 omega1 finite")
+        if not math.isfinite(self.lam):
+            raise ValueError("lam must be finite")
+
+    @property
+    def omega_max(self) -> float:  # top of the continuum band [0, 20 omega1]
+        return 20.0 * self.omega1
 
     def g2(self, w):
         return np.asarray(self.g(w)) ** 2
@@ -654,12 +655,13 @@ def damping_matrix(spectrum) -> np.ndarray:
 
 
 def lambda_lyapunov(spectrum, rho0: np.ndarray, t_grid) -> np.ndarray:
-    """Y(t) = sum_ij |rho_ij|^2 e^{-Gamma_ij t}; non-increasing in t."""
+    """Y(t) = sum_ij |rho_ij|^2 e^{-Gamma_ij t}; non-increasing in t.  A scalar
+    or an array of any shape is read as the flat grid."""
     rho0 = np.asarray(rho0, dtype=complex)
     gam = damping_matrix(spectrum)
     if rho0.shape != gam.shape:
         raise ValueError("state dimension must match the spectrum")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
     if np.any(t_grid < 0):
         raise ValueError("t must be non-negative: the Lambda-evolution runs forward only")
     w = np.abs(rho0) ** 2

@@ -25,8 +25,6 @@ import numpy as np
 
 from .table import to_csv
 
-NORM_TOL = 1e-12
-
 
 class GridMismatchError(ValueError):
     pass

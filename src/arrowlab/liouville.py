@@ -14,6 +14,7 @@ import numpy as np
 
 N_CAP = 16  # dense n^4 storage; desk scale
 _PHASE_BLOCK = 1 << 20  # complex entries per dephasing phase block (16 MB)
+_CESARO_STEPS = 2000  # midpoints of the dephasing Cesaro average
 
 
 def _check_square(m, name="matrix"):
@@ -127,8 +128,8 @@ def expectation(rho, obs) -> complex:
     return complex(np.trace(np.asarray(rho) @ np.asarray(obs)))
 
 
-def dephase_cesaro(rho0, spectrum, obs, big_t: float, n_steps: int = 2000):
-    """Time average (1/T) int_0^T <O>_t dt, by midpoint rule.
+def dephase_cesaro(rho0, spectrum, obs, big_t: float):
+    """Time average (1/T) int_0^T <O>_t dt, by midpoint rule on _CESARO_STEPS points.
 
     For distinct frequencies the average tends to the diagonal-part value
     tr(diag(rho0) O) with an O(1/T) error (the oscillating terms integrate
@@ -143,18 +144,16 @@ def dephase_cesaro(rho0, spectrum, obs, big_t: float, n_steps: int = 2000):
     w = np.asarray(spectrum, dtype=float)
     if rho0.shape != (w.size, w.size) or obs.shape != rho0.shape:
         raise ValueError("spectrum length and observable must match the matrix dimension")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     if w.size == 0:
         raise ValueError("spectrum must not be empty")
     if not np.isfinite(float(big_t) * float(np.ptp(w))):  # Python floats: inf, no warning
         raise ValueError("the largest phase T * max|w_i - w_j| must be finite")
-    ts = (np.arange(n_steps) + 0.5) * (big_t / n_steps)
+    ts = (np.arange(_CESARO_STEPS) + 0.5) * (big_t / _CESARO_STEPS)
     d = (w[:, None] - w[None, :]).ravel()
     a = (rho0 * obs.T).ravel()
     rows = max(1, _PHASE_BLOCK // d.size)
     vals = np.concatenate([np.exp(1j * np.outer(ts[i:i + rows], d)) @ a
-                           for i in range(0, n_steps, rows)])
+                           for i in range(0, _CESARO_STEPS, rows)])
     return complex(vals.mean())
 
 

@@ -24,6 +24,8 @@ from numpy.polynomial.polynomial import polyval
 
 from .table import to_csv
 
+_TABLE_POINTS = 101  # x samples in basis_table
+
 
 class Poly:
     """Polynomial with exact rational (int or Fraction) coefficients, low order first."""
@@ -193,8 +195,8 @@ def sample_poly(p: Poly, base: int, level: int) -> np.ndarray:
     return out
 
 
-def basis_table(n_max: int, n_points: int = 101) -> str:
-    """CSV: x plus B_0..B_n sampled on a uniform grid."""
-    xs = np.linspace(0.0, 1.0, n_points)
+def basis_table(n_max: int) -> str:
+    """CSV: x plus B_0..B_n sampled on `_TABLE_POINTS` evenly spaced x in [0, 1]."""
+    xs = np.linspace(0.0, 1.0, _TABLE_POINTS)
     cols = [xs] + [polyval(xs, b.as_floats()) for b in _bernoulli_polys(n_max)]
     return to_csv("x," + ",".join(f"B{n}" for n in range(n_max + 1)), zip(*cols))

@@ -258,7 +258,9 @@ def test_empty_sizes_name_the_problem(tmp_path, capsys, argv, problem):
                                   ["renyi-spectral", "--t", "-1"],
                                   ["renyi-spectral", "--beta", "1"],
                                   ["renyi-spectral", "--beta", "0", "--t", "0"],
-                                  ["friedrichs", "--t-max", "1e308", "--n-times", "2"]])
+                                  ["friedrichs", "--t-max", "1e308", "--n-times", "2"],
+                                  ["friedrichs", "--omega1", "1e307", "--n-times", "3",
+                                   "--t-max", "1"]])
 def test_out_of_range_options_exit_1_without_warning(tmp_path, capsys, argv):
     out = tmp_path / "d"
     with warnings.catch_warnings():

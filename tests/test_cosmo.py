@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,27 @@ from arrowlab.cosmo import (CosmoParams, ThermoState, blackbody_comoving_entropy
                             boost_thermo, boost_work, critical_times,
                             entropy_gap, entropy_gap_rate, gap_to_csv,
                             radiation_temperature, regime_report, roots_to_json)
+from arrowlab.friedrichs import FriedrichsModel
 
 P = CosmoParams()  # A = 2*1.5/3 = 1, B = 0.1
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (FriedrichsModel, "omega1", math.nan),
+    (FriedrichsModel, "lam", math.nan),
+    (FriedrichsModel, "lam", math.inf),
+    (CosmoParams, "omega1", math.nan),
+    (CosmoParams, "temp0", math.nan),
+    (CosmoParams, "gamma", math.inf),
+    (ThermoState, "v", math.nan),
+    (ThermoState, "t", math.nan),
+    (ThermoState, "e", math.inf),
+    (ThermoState, "s", math.nan),
+])
+def test_constructors_reject_non_finite_constants(build, name, value):
+    base = dict(v=1.0, p=1.0, e=1.0, q=1.0, s=1.0, t=1.0) if build is ThermoState else {}
+    with pytest.raises(ValueError):
+        build(**{**base, name: value})
 
 
 def test_boost_identity_and_invariants():
@@ -50,8 +70,8 @@ def test_first_law_covariance():
 
 
 def test_radiation_temperature():
-    assert radiation_temperature(P.a0, P) == P.temp0
-    assert radiation_temperature(2 * P.a0, P) == P.temp0 / 2
+    assert radiation_temperature(1.0, P) == P.temp0
+    assert radiation_temperature(2.0, P) == P.temp0 / 2
     with pytest.raises(ValueError):
         radiation_temperature(0.0, P)
 
@@ -63,8 +83,8 @@ def test_blackbody_comoving_entropy_constant():
 
 
 def test_entropy_gap_values_and_limits():
-    assert entropy_gap(P.t0, P) == pytest.approx(
-        np.exp(-P.gamma * P.t0) * np.exp(P.omega1 / P.temp0))
+    assert entropy_gap(1.0, P) == pytest.approx(
+        np.exp(-P.gamma) * np.exp(P.omega1 / P.temp0))
     big_gamma = CosmoParams(gamma=50.0)
     assert entropy_gap(2.0, big_gamma) < 1e-40
     assert entropy_gap(1e8, P) < 1e-300 or entropy_gap(1e8, P) < entropy_gap(1e4, P)

@@ -34,13 +34,15 @@ def test_alpha_free_theory():
 
 
 def test_model_rejects_level_outside_the_band():
-    # above the band the "pole" would be a bound state: gamma1 ~ 1e-12
-    for omega1, omega_max in ((25.0, 20.0), (20.0, 20.0), (1e3, 20.0)):
-        with pytest.raises(ValueError, match="inside the band"):
-            FriedrichsModel(omega1=omega1, lam=0.1, omega_max=omega_max)
+    # the band is [0, 20 omega1]: a level at its bottom, or one whose band top overflows
     with pytest.raises(ValueError, match="positive"):
         FriedrichsModel(omega1=0.0, lam=0.1)
-    assert FriedrichsModel(omega1=19.0, lam=0.1, omega_max=20.0).omega_max == 20.0
+    for omega1 in (1e307, np.float64(1e307)):
+        with pytest.raises(ValueError, match="band top 20 omega1 finite"):
+            FriedrichsModel(omega1=omega1, lam=0.1)
+    assert FriedrichsModel(omega1=1e306, lam=0.1).omega_max == 20.0 * 1e306
+    with pytest.raises(AttributeError):
+        FriedrichsModel(omega1=1.0, lam=0.1).omega_max = 30.0
 
 
 def test_alpha_matches_adaptive_quadrature():
@@ -654,6 +656,15 @@ def test_lambda_lyapunov_monotone_and_limits():
     assert y[-1] < 1e-3  # no undamped support -> decays to zero
     y0 = lambda_lyapunov([2.0 + 0j], np.array([[1.0]]), t)
     assert np.ptp(y0) == 0.0
+
+
+def test_lambda_lyapunov_reads_any_time_grid_flat():
+    z, rho = [1 - 0.1j, 2 - 0.3j], np.array([[0.6, 0.2], [0.2, 0.4]])
+    t = np.linspace(0.0, 5.0, 6)
+    y = lambda_lyapunov(z, rho, t)
+    assert lambda_lyapunov([1 - 0.1j], np.array([[1.0]]), 2.0).tolist() == pytest.approx([np.exp(-0.8)])
+    assert np.array_equal(lambda_lyapunov(z, rho, t.reshape(2, 3)), y)
+    assert np.array_equal(lambda_lyapunov(z, rho, t[3]), y[3:4])
 
 
 def test_lambda_lyapunov_random_sweep():

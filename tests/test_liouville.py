@@ -216,7 +216,7 @@ def test_dephase_cesaro_decays_like_one_over_t():
     star = expectation(diagonal_part(r), obs).real
     devs = []
     for big_t in (50.0, 100.0, 200.0, 400.0):
-        avg = dephase_cesaro(r, w, obs, big_t, n_steps=4000).real
+        avg = dephase_cesaro(r, w, obs, big_t).real
         devs.append(abs(avg - star))
     # bounded oscillatory sums: T * deviation stays bounded
     assert all(t * d < 2.0 for t, d in zip((50, 100, 200, 400), devs))
@@ -249,8 +249,6 @@ def test_dephase_cesaro_rejects_bad_input():
         dephase_cesaro(r, [0.0, 1.0], np.eye(3), 10.0)
     with pytest.raises(ValueError):
         dephase_cesaro(r, [0.0, 1.0, 2.0], np.eye(2), 10.0)
-    with pytest.raises(ValueError):
-        dephase_cesaro(r, [0.0, 1.0, 2.0], np.eye(3), 10.0, n_steps=0)
     with pytest.raises(ValueError, match="spectrum must not be empty"):
         dephase_cesaro(np.zeros((0, 0)), [], np.zeros((0, 0)), 10.0)
 

@@ -62,15 +62,12 @@ def boost_thermo(state: ThermoState, u: float) -> ThermoState:
     """
     if not (0 <= u < 1):
         raise ValueError("speed must satisfy 0 <= u < 1")
-    root = np.sqrt(1.0 - u * u)
-    return ThermoState(
-        v=state.v * root,
-        p=state.p,
-        e=(state.e + u * u * state.p * state.v) / root,
-        q=state.q * root,
-        s=state.s,
-        t=state.t * root,
-    )
+    root = math.sqrt(1.0 - u * u)
+    e = (state.e + u * u * state.p * state.v) / root
+    if not math.isfinite(e):
+        raise ValueError(f"boosted energy {e!r} at u={u!r} is not finite")
+    return ThermoState(v=state.v * root, p=state.p, e=e, q=state.q * root,
+                       s=state.s, t=state.t * root)
 
 
 def boost_work(dw0: float, d_enthalpy0: float, u: float) -> float:
@@ -78,7 +75,7 @@ def boost_work(dw0: float, d_enthalpy0: float, u: float) -> float:
     dW = sqrt(1-u^2) dW0 - (u^2/sqrt(1-u^2)) d(E0 + p0 v0)."""
     if not (0 <= u < 1):
         raise ValueError("speed must satisfy 0 <= u < 1")
-    root = np.sqrt(1.0 - u * u)
+    root = math.sqrt(1.0 - u * u)
     return root * dw0 - u * u / root * d_enthalpy0
 
 
@@ -105,7 +102,7 @@ def blackbody_comoving_entropy(a, params: CosmoParams):
 # entropy gap
 # ---------------------------------------------------------------------------
 
-def scale_factor(t, params: CosmoParams):
+def scale_factor(t):
     """Matter-era a(t) = t^(2/3)."""
     # [()] keeps a scalar t a np.float64, whose ** is libm pow: numpy's SIMD
     # power loop for arrays can differ from it in the last bit
@@ -118,10 +115,12 @@ def scale_factor(t, params: CosmoParams):
 def entropy_gap(t, params: CosmoParams):
     """Delta S(t) = e^{-gamma t} a^{-3/2} e^{omega1 a/T0}."""
     t = np.asarray(t, dtype=float)
-    a = scale_factor(t, params)
+    a = scale_factor(t)
     # evaluate in log space so the damping and growth factors cannot
     # produce 0 * inf at extreme times
     log_gap = -params.gamma * t - 1.5 * np.log(a) + params.omega1 * a / params.temp0
+    if np.any(log_gap > np.log(np.finfo(float).max)):
+        raise ValueError(f"entropy gap e^{np.max(log_gap):.6g} leaves float range")
     out = np.exp(log_gap)
     return out if out.ndim else float(out)
 
@@ -177,9 +176,6 @@ def critical_times(params: CosmoParams) -> dict:
     out["times"] = [1.0 / u_big ** 3, 1.0 / u_small ** 3]
     out["residuals"] = [abs(entropy_gap_rate(t, params)) for t in out["times"]]
     return out
-
-
-REGIMES = ("thermalizing-early", "complexity-growth", "final-approach")
 
 
 def regime_report(params: CosmoParams, t_grid) -> list:

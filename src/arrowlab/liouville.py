@@ -1,6 +1,7 @@
 """Finite-dimensional Liouville-space toolkit: superoperator algebra,
-time reversal, Liouvillian, dephasing evolution for a discrete spectrum,
-and a direct-sum Wigner transform on a position grid.
+time reversal, Liouvillian, dephasing evolution for a discrete spectrum
+and its Cesaro average (one Dirichlet-kernel sum, phases reduced mod pi
+so near-aliased ones stay exact), and a direct-sum Wigner transform on a position grid.
 
 A superoperator is a 4-index array A[i,j,k,l] acting as
 (A rho)_ij = sum_kl A[i,j,k,l] rho_kl.  Read as an (n^2, n^2) matrix on
@@ -13,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 N_CAP = 16  # dense n^4 storage; desk scale
-_PHASE_BLOCK = 1 << 20  # complex entries per dephasing phase block (16 MB)
-_CESARO_STEPS = 2000  # midpoints of the dephasing Cesaro average
+_CESARO_STEPS = 2000  # midpoints of the dephasing Cesaro average; even
 
 
 def _check_square(m, name="matrix"):
@@ -129,15 +129,18 @@ def expectation(rho, obs) -> complex:
 
 
 def dephase_cesaro(rho0, spectrum, obs, big_t: float):
-    """Time average (1/T) int_0^T <O>_t dt, by midpoint rule on _CESARO_STEPS points.
+    """Time average (1/T) int_0^T <O>_t dt, by midpoint rule on N = _CESARO_STEPS points.
 
     For distinct frequencies the average tends to the diagonal-part value
     tr(diag(rho0) O) with an O(1/T) error (the oscillating terms integrate
     to bounded quantities).
 
-    <O>_t = sum_ij rho_ij(0) O_ji e^{i (w_i - w_j) t}, so the samples at all
-    midpoints are one phase matrix times the vector of those products, built
-    in blocks of at most `_PHASE_BLOCK` entries.
+    <O>_t = sum_ij rho_ij(0) O_ji e^{i d t}, d = w_i - w_j, and the mean of
+    e^{i d t} over the midpoints is the Dirichlet kernel K = e^{iNx} sin(Nx)/(N sin x),
+    x = d T/(2N).  With x = k pi + delta and N even, K = (-1)^k e^{iN delta}
+    sin(N delta)/(N sin delta): unreduced, the ratio divides two rounding errors
+    where d T/N nears 2 pi k.  Past |x| = 2^52 a float fixes no angle, so x is
+    not reduced there; the ratio is clipped to [-1, 1], as |sin Nx| <= N |sin x|.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     obs = np.asarray(obs)
@@ -148,13 +151,14 @@ def dephase_cesaro(rho0, spectrum, obs, big_t: float):
         raise ValueError("spectrum must not be empty")
     if not np.isfinite(float(big_t) * float(np.ptp(w))):  # Python floats: inf, no warning
         raise ValueError("the largest phase T * max|w_i - w_j| must be finite")
-    ts = (np.arange(_CESARO_STEPS) + 0.5) * (big_t / _CESARO_STEPS)
-    d = (w[:, None] - w[None, :]).ravel()
-    a = (rho0 * obs.T).ravel()
-    rows = max(1, _PHASE_BLOCK // d.size)
-    vals = np.concatenate([np.exp(1j * np.outer(ts[i:i + rows], d)) @ a
-                           for i in range(0, _CESARO_STEPS, rows)])
-    return complex(vals.mean())
+    x = (w[:, None] - w[None, :]) * (0.5 * big_t / _CESARO_STEPS)
+    k = np.rint(x / np.pi) * (np.abs(x) < 2.0 ** 52)
+    delta = x - k * np.pi
+    sin_d = np.sin(delta)
+    ratio = np.divide(np.sin(_CESARO_STEPS * delta), _CESARO_STEPS * sin_d,
+                      out=np.ones_like(delta), where=sin_d != 0)  # K = (-1)^k at delta = 0
+    kern = np.clip(ratio, -1.0, 1.0) * (1 - 2 * (k % 2)) * np.exp(1j * _CESARO_STEPS * delta)
+    return complex((rho0 * obs.T * kern).sum())
 
 
 def diagonal_part(rho) -> np.ndarray:

@@ -89,6 +89,17 @@ def test_boost_prints_json(capsys):
     assert data["boosted"]["v"] == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize("argv, artifact", [
+    (["cosmo-gap", "--omega1", "10", "--t0-temp", "0.1"], "gap.csv"),
+    (["boost", "--u", "0.99", "--e", "1e308"], "boost.json"),
+])
+def test_float_overflow_exits_1_with_one_line(tmp_path, capsys, argv, artifact):
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("arrowlab: error: ") and err.count("\n") == 1
+    assert not (tmp_path / artifact).exists()
+
+
 def test_outputs_deterministic_for_seed(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

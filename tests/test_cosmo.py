@@ -49,6 +49,13 @@ def test_boost_identity_and_invariants():
         boost_thermo(s, 1.0)
 
 
+def test_boost_energy_overflow_is_named():
+    # (1e308 + 0.98) / 0.14 leaves float range; the error names the quantity
+    s = ThermoState(v=1.0, p=1.0, e=1e308, q=0.0, s=1.0, t=1.0)
+    with pytest.raises(ValueError, match="boosted energy inf at u=0.99 is not finite"):
+        boost_thermo(s, 0.99)
+
+
 def test_boost_point_six():
     s = ThermoState(v=1.0, p=1.0, e=1.0, q=1.0, s=1.0, t=1.0)
     b = boost_thermo(s, 0.6)
@@ -90,6 +97,16 @@ def test_entropy_gap_values_and_limits():
     assert entropy_gap(1e8, P) < 1e-300 or entropy_gap(1e8, P) < entropy_gap(1e4, P)
     with pytest.raises(ValueError):
         entropy_gap(0.0, P)
+
+
+def test_entropy_gap_overflow_raises():
+    # omega1 a / T0 = 100 t^(2/3) passes ln(float max) ~ 709.8 before t = 20
+    hot = CosmoParams(omega1=10.0, temp0=0.1)
+    assert math.isfinite(entropy_gap(10.0, hot))
+    with pytest.raises(ValueError, match="leaves float range"):
+        entropy_gap(1e4, hot)
+    with pytest.raises(ValueError, match="leaves float range"):
+        entropy_gap(np.array([1.0, 1e4]), hot)
 
 
 def test_rate_is_log_derivative():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,7 +230,7 @@ def _cesaro_loop(rho0, w, obs, big_t, n_steps):
 
 
 @pytest.mark.parametrize("n", [2, 6, 16])
-def test_dephase_cesaro_matches_time_loop(n, monkeypatch):
+def test_dephase_cesaro_matches_time_loop(n):
     local = np.random.default_rng(n)
     w = np.sort(local.random(n)) * n
     r = local.random((n, n)) + 1j * local.random((n, n))
@@ -238,9 +240,39 @@ def test_dephase_cesaro_matches_time_loop(n, monkeypatch):
     obs = obs + obs.T
     want = _cesaro_loop(r, w, obs, 50.0, 2000)
     assert abs(dephase_cesaro(r, w, obs, 50.0) - want) < 1e-12
-    # several phase blocks, the last one short
-    monkeypatch.setattr(liouville, "_PHASE_BLOCK", 333 * n * n)
-    assert abs(dephase_cesaro(r, w, obs, 50.0) - want) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.floats(0.5, 500.0), st.booleans(), st.integers(1, 3),
+       st.integers(-4, 4), st.integers(0, 2 ** 32 - 1))
+def test_dephase_cesaro_matches_time_loop_near_aliasing(n, big_t, aliased, k, m, seed):
+    # aliased: one gap d with d h = 2 pi k (1 + m eps), h = T/N, where the
+    # unreduced Dirichlet ratio sin(Nx)/(N sin x) divides two rounding errors
+    local = np.random.default_rng(seed)
+    w = np.sort(local.random(n)) * n
+    if aliased:
+        i, j = local.choice(n, 2, replace=False)
+        h = big_t / liouville._CESARO_STEPS
+        w[j] = w[i] + 2 * np.pi * k / h * (1 + m * np.finfo(float).eps)
+    r = local.random((n, n)) + 1j * local.random((n, n))
+    obs = local.random((n, n)) + 1j * local.random((n, n))
+    unit = 4 * np.finfo(float).eps * (1 + np.ptp(w) * big_t) * np.abs(r * obs.T).sum()
+    want = _cesaro_loop(r, w, obs, big_t, liouville._CESARO_STEPS)
+    assert abs(dephase_cesaro(r, w, obs, big_t) - want) <= unit
+
+
+def test_dephase_cesaro_kernel_bounded():
+    # rho_01 O_10 = 1 alone, and T = 2N puts x = d: the average is K(x)
+    local = np.random.default_rng(5)
+    r = np.array([[0, 1], [0, 0]], dtype=complex)
+    obs = np.array([[0, 0], [1, 0]], dtype=float)
+    # 6381956970095103 * 2^798 lies 9.4e-19 from a multiple of pi, so its
+    # unclipped ratio sin(Nx)/(N sin x) is about 1.8e14
+    near_k_pi = math.ldexp(6381956970095103, 798)
+    phases = np.append(local.choice([-1, 1], 2000) * 10.0 ** local.uniform(-5, 300, 2000),
+                       [near_k_pi, -near_k_pi])
+    big_t = 2.0 * liouville._CESARO_STEPS
+    assert max(abs(dephase_cesaro(r, [p, 0.0], obs, big_t)) for p in phases) <= 1.0
 
 
 def test_dephase_cesaro_rejects_bad_input():

@@ -4,28 +4,35 @@ independent routes, mixed-state decay splits, the thermal many-mode state
 and the Lambda-trace Lyapunov functional.
 
 Conventions: hbar = 1, continuum on [0, 20 omega1], default form factor
-g(omega) = exp(-omega/2).  alpha on both sheets and on the cut comes from
-one rule for int g^2(u)/(z-u) du that subtracts the singularity at z itself
-and stays accurate right up to the cut; it evaluates g at complex z, so a
-custom g must accept complex input.
+g(omega) = exp(-omega/2).  alpha at any z, on both sheets and on the cut,
+comes from one rule for int g^2(u)/(z-u) du that subtracts the singularity
+at z itself and stays accurate right up to the cut; it evaluates g at
+complex z, so a custom g must accept complex input.  The spectral density
+needs alpha only at the midpoints of a uniform grid: it takes the same
+subtraction there, and its sums over uniform nodes are Cauchy sums
+sum_k a_k/(x_j - u_k) with x_j - u_k on a lattice, Toeplitz products that
+one real FFT convolution computes (_toeplitz_cauchy).
 
 The two survival routes share no numerics, only the check that the t grid
 is evenly spaced, which both need, and neither builds an O(N^2) or
 O(N*len(t)) array.  The oracle finds the exact spectrum of the N-mode
 discretization, an arrowhead matrix, from its secular equation by a
-safeguarded rational iteration (Gu & Eisenstat 1995), in O(N) memory and
-O(N^2) time per sweep, whose sums are banded BLAS matrix-vector products;
-its phase table is factored over the time lattice, so cos and sin run
-O(sqrt(len(t))) times per eigenvalue, in O(N*sqrt(len(t))) memory.  The
-quadrature sums the spectral density on an evenly spaced omega grid; over
-the t grid that sum is one chirp-z transform (Rabiner, Schafer & Rader
-1969) done as a Bluestein FFT convolution of 5-smooth length in
-O(n_points + len(t)) memory.  survival_probability runs the two routes on
-two threads, the quadrature on a worker under the caller's numpy error
-state and the oracle on the calling thread, and joins the worker before it
-returns; their ufuncs, FFTs and BLAS calls release the GIL.  Each route
-raises ValueError when its largest phase argument is not finite, and then
-when its t grid is not evenly spaced.
+safeguarded rational iteration (Gu & Eisenstat 1995) in O(N) memory.  On
+the uniform grid its sweeps take the poles far from a root from a series
+whose coefficients are Toeplitz products, one FFT convolution per solve
+(Dutt, Gu & Rokhlin 1996), so a sweep is O(N); only the last sweeps, which
+test convergence and give the weights, take the exact O(N^2) sums as
+banded BLAS matrix-vector products.  The oracle's phase table is factored
+over the time lattice, so cos and sin run O(sqrt(len(t))) times per
+eigenvalue, in O(N*sqrt(len(t))) memory.  The quadrature sums the spectral
+density on an evenly spaced omega grid; over the t grid that sum is one
+chirp-z transform (Rabiner, Schafer & Rader 1969) done as a Bluestein FFT
+convolution of 5-smooth length in O(n_points + len(t)) memory.
+survival_probability runs the two routes on two threads, the quadrature on
+a worker under the caller's numpy error state and the oracle on the calling
+thread, and joins the worker before it returns; their ufuncs, FFTs and BLAS
+calls release the GIL.  Each route raises ValueError when its largest phase
+argument is not finite, and then when its t grid is not evenly spaced.
 
 A FriedrichsModel is immutable: it computes its exact spectrum and its
 spectral density once per size and returns them read-only, so repeated
@@ -91,6 +98,11 @@ _EPS = np.finfo(float).eps
 _POLE_TOL = 1e-12
 _POLE_MAX_ITER = 100
 _SECULAR_MAX_ITER = 64
+# the secular far field: poles within _FAR_BAND grid steps of a root's own pole
+# are summed one by one, the rest by _FAR_TERMS terms of a series in x/m,
+# |x/m| <= 1/18, which leave 18^-13 < 1e-16 of their sum
+_FAR_BAND = 8
+_FAR_TERMS = 13
 
 # elements in one (rows x columns) work array of the chunked sums: 512 KiB of
 # float64, small enough to stay in cache
@@ -285,6 +297,73 @@ def _secular_sums(d, z2, origin, y, sign, j):
     return out
 
 
+def _toeplitz_cauchy(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """out[r, s, i] = sum_k values[s, k] kernel[r, i - k + M - 1], i < M, for
+    every row r of kernel and s of values (leading axes of any shape), where
+    values has M entries on its last axis and kernel holds the lags
+    1 - M..M - 1 on its: Toeplitz products, such as the Cauchy sums
+    sum_k a_k/(x_i - u_k) on a uniform grid, as real FFT convolutions of
+    5-smooth length (_fft_size), one pair of rows at a time.  Every output
+    needs only lags inside the kernel, so the cyclic convolution of length
+    2M - 1 aliases none of them.  The error is a few eps log2(M) of the two
+    rows' 2-norms' product, which bounds every sum of |terms|, not a few eps
+    of each output's own sum."""
+    m = values.shape[-1]
+    size = _fft_size(2 * m - 1)
+    spec = np.fft.rfft(values, size)
+    out = np.empty(kernel.shape[:-1] + values.shape)
+    for r in np.ndindex(kernel.shape[:-1]):
+        kernel_spec = np.fft.rfft(kernel[r], size)
+        for s in np.ndindex(values.shape[:-1]):
+            out[r + s] = np.fft.irfft(spec[s] * kernel_spec, size)[m - 1:2 * m - 1]
+    return out
+
+
+def _far_field(z2: np.ndarray) -> np.ndarray:
+    """S[p, side, o] = sum_i z2_i m^-(p+1), m = o - i, p = 0.._FAR_TERMS,
+    over the poles i of a uniform grid beyond the band |m| <= _FAR_BAND:
+    side 0 the left ones (m > _FAR_BAND), side 1 the right ones, which are
+    the left ones of the mirrored grid with the sign (-1)^(p+1).  They do
+    not depend on the roots, so one FFT convolution per solve serves every
+    sweep (_far_sums)."""
+    n = z2.size
+    kernel = np.zeros((_FAR_TERMS + 1, 2 * n - 1))
+    inv = 1.0 / np.arange(_FAR_BAND + 1, n)
+    kernel[0, n + _FAR_BAND:] = inv
+    for p in range(_FAR_TERMS):
+        np.multiply(kernel[p, n + _FAR_BAND:], inv, out=kernel[p + 1, n + _FAR_BAND:])
+    field = _toeplitz_cauchy(np.stack((z2, z2[::-1])), kernel)
+    field[:, 1] = field[:, 1, ::-1] * (-1.0) ** np.arange(1, _FAR_TERMS + 2)[:, None]
+    return field
+
+
+def _far_sums(field, z2, dw, pole, x, j):
+    """_secular_sums on the poles d_i = d_0 + i dw, for the roots j at
+    l = d_pole + x dw, |x| <= 1/2: the poles beyond the band from the far
+    field (_far_field), by Horner's rule for 1/(m + x) = sum_p (-x)^p
+    m^-(p+1) and its derivative, and the poles i = pole - m of the band
+    |m| <= _FAR_BAND one by one.  Every work array has one entry per root."""
+    q, p = np.zeros((2, x.size)), np.zeros((2, x.size))
+    for k in range(_FAR_TERMS, -1, -1):
+        s = field[k][:, pole]
+        if k < _FAR_TERMS:
+            q = q * -x + s
+        if k:
+            p = p * -x + k * s
+    padded = np.concatenate((np.zeros(_FAR_BAND), z2, np.zeros(_FAR_BAND)))
+    own = pole < j  # a root right of its own pole has that pole on its left
+    for m in range(-_FAR_BAND, _FAR_BAND + 1):
+        rec = 1.0 / (m + x)
+        term = padded[pole + (_FAR_BAND - m)] * rec
+        if m:
+            q[int(m < 0)] += term  # the poles at m > 0 lie left
+            p[int(m < 0)] += term * rec
+        else:
+            q += np.where((own, ~own), term, 0.0)
+            p += np.where((own, ~own), term * rec, 0.0)
+    return np.concatenate((q / dw, p / dw ** 2))
+
+
 def _arrowhead_spectrum(model: FriedrichsModel, n_modes: int = 2000):
     """Eigenvalues and weights |<1|l>|^2 of discretize(model, n_modes)[0],
     without forming the matrix: solved once per model and n_modes
@@ -309,8 +388,17 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
     Each remaining root is found by a safeguarded two-pole rational
     iteration (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) and is
     stored as an offset y from the pole it lies nearer to, so l - w_k keeps
-    full relative accuracy even where the root rounds onto the pole.  Work
-    is O(N^2) per sweep and memory O(N) plus one chunk of the sums.
+    full relative accuracy even where the root rounds onto the pole.
+
+    When the kept poles are one run of the uniform grid, an interior root
+    iterates on far-field sums (_far_field, _far_sums) in O(N) per sweep,
+    until it passes the stopping test on them or its step stops shrinking;
+    they are good to a few eps of the largest sums, which the test cannot
+    rely on, and they do not move its bracket.  Its last sweeps, the
+    stopping test and its weight then take the exact sums, O(N) per root
+    (_secular_sums), which are the only ones for the two end roots and for
+    poles that are not one run.  Memory is O(N), 2 (_FAR_TERMS + 1) N values
+    for the far field, plus one chunk of the sums.
     """
     w, c = _mode_grid(model, n_modes)
     a = float(model.omega1)
@@ -335,7 +423,24 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
     origin = np.where(j == 0, d[0], d[np.maximum(j - 1, 0)])
     y = 0.5 * gap
     lo, hi = np.zeros(n + 1), y.copy()
-    sums = _secular_sums(d, z2, origin, y, sign, j)
+    kept = np.flatnonzero(keep)
+    field = _far_field(z2) if kept[-1] - kept[0] == n - 1 else None
+    exact = np.full(n + 1, field is None)
+    exact[[0, n]] = True
+    step = np.full(n + 1, np.inf)  # each root's last step on the far field
+    dw = model.omega_max / n_modes
+
+    def sweep(act):
+        out = np.empty((4, act.size))
+        e = exact[act]
+        r = act[e]
+        out[:, e] = _secular_sums(d, z2, origin[r], y[r], sign[r], j[r])
+        if not e.all():
+            r = act[~e]
+            out[:, ~e] = _far_sums(field, z2, dw, j[r] - (sign[r] > 0), sign[r] * y[r] / dw, j[r])
+        return out
+
+    sums = sweep(j)
     # a root right of the gap midpoint is nearer the right pole
     f = (origin - a) + sign * y - (sums[0] + sums[1])
     flip = (j > 0) & (j < n) & (f < 0)
@@ -345,20 +450,22 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
     root_wt = np.empty(n + 1)
     act = np.arange(n + 1)
     for _ in range(_SECULAR_MAX_ITER):
-        o, s, ya = origin[act], sign[act], y[act]
+        o, s, ya, ex = origin[act], sign[act], y[act], exact[act]
         q_left, q_right, p_left, p_right = sums
         g = s * ((o - a) + s * ya - (q_left + q_right))
-        done = (np.abs(g) <= 8.0 * _EPS * (np.abs(o - a) + ya + (q_left - q_right))) \
+        passed = (np.abs(g) <= 8.0 * _EPS * (np.abs(o - a) + ya + (q_left - q_right))) \
             | (hi[act] - lo[act] <= 4.0 * _EPS * hi[act])
+        done = passed & ex
         roots[act[done]] = o[done] + s[done] * ya[done]
         root_wt[act[done]] = 1.0 / (1.0 + p_left[done] + p_right[done])
         keep_on = ~done
-        act, g, ya, s = act[keep_on], g[keep_on], ya[keep_on], s[keep_on]
+        act, g, ya, s, ex = act[keep_on], g[keep_on], ya[keep_on], s[keep_on], ex[keep_on]
         if act.size == 0:
             break
         p_left, p_right = p_left[keep_on], p_right[keep_on]
-        hi[act] = np.where(g > 0, ya, hi[act])
-        lo[act] = np.where(g > 0, lo[act], ya)
+        rises = g > 0
+        hi[act] = np.where(ex & rises, ya, hi[act])
+        lo[act] = np.where(ex & ~rises, ya, lo[act])
         # two-pole model kappa - w_near/y + w_far/(far - y) matching G and G'
         # at ya; the poles on each side fold into that side's pole, and the
         # linear term of F into the far one.  Its root in (0, far) solves a
@@ -373,8 +480,11 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
             y_new = np.where(b > 0, 2.0 * w_near * far / (b + disc),
                              (disc - b) / (-2.0 * kappa))
         inside = (y_new > lo[act]) & (y_new < hi[act])
-        y[act] = np.where(inside, y_new, 0.5 * (lo[act] + hi[act]))
-        sums = _secular_sums(d, z2, origin[act], y[act], sign[act], j[act])
+        y_new = np.where(inside, y_new, 0.5 * (lo[act] + hi[act]))
+        moved = np.abs(y_new - ya)
+        exact[act] = ex | passed[keep_on] | (moved >= step[act])
+        step[act], y[act] = moved, y_new
+        sums = sweep(act)
     else:
         raise RuntimeError("secular equation did not converge")
     return (np.concatenate((w[~keep], roots)),
@@ -425,17 +535,68 @@ def survival_amplitude_oracle(model: FriedrichsModel, t_grid,
 def spectral_density(model: FriedrichsModel, n_points: int = 40001):
     """psi(omega) = lam^2 g^2 / |alpha(omega+i0)|^2 on a fine midpoint grid:
     (omega grid, psi, d omega), computed once per model and n_points and
-    returned read-only."""
+    returned read-only.
+
+    alpha(omega_j + i0) takes the singularity subtraction of _cut_integral,
+    with the smooth part summed on the uniform nodes u_k = k dw/r,
+    k = 0..n_points r, r the smallest odd integer with n_points r >= 400, so
+    each omega_j is a node midpoint and omega_j - u_k = (m + 1/2) dw/r never
+    vanishes.  The rule is the trapezoid rule with 8-node Euler-Maclaurin end
+    corrections (_end_weights).  Its sum over k of w_k g^2(u_k)/(omega_j -
+    u_k) is a Toeplitz product with the kernel 1/(m + 1/2), one FFT
+    convolution (_toeplitz_cauchy); that of w_k/(omega_j - u_k) is a closed
+    form (_half_harmonic) plus the end corrections, which keeps a second row
+    of FFT buffers out of memory.
+    """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
 
     def density():
-        dw = model.omega_max / n_points
+        w_max = model.omega_max
+        dw = w_max / n_points
         wgrid = (np.arange(n_points) + 0.5) * dw
-        psi = model.lam ** 2 * model.g2(wgrid) / np.abs(boundary_alpha(wgrid, model)) ** 2
-        return wgrid, psi, dw
+        r = -(-400 // n_points) | 1
+        nodes = n_points * r + 1
+        i = np.arange((r - 1) // 2, nodes - 1, r)  # omega_j lies between nodes i and i + 1
+        delta = _end_weights()
+        wts = np.ones(nodes)
+        wts[:8] += delta
+        wts[-8:] += delta[::-1]
+        kernel = np.arange(1.5 - nodes, nodes)  # m + 1/2 at the lags m
+        np.reciprocal(kernel, out=kernel)
+        g2w = model.g2(wgrid)
+        s_g2 = _toeplitz_cauchy(wts * model.g2(np.arange(nodes) * (dw / r)), kernel)[i]
+        # the sum of 1/(i - k + 1/2) over all nodes k pairs off to
+        # H(i + 1) - H(nodes - 1 - i); the end corrections are 16 more terms
+        s_w = _half_harmonic(i + 1) - _half_harmonic(nodes - 1 - i)
+        for k in range(8):
+            s_w += delta[k] * (kernel[i - k + nodes - 1] + kernel[i + k])
+        pv = (s_g2 - g2w * s_w) + g2w * (np.log(wgrid) - np.log(w_max - wgrid))
+        alpha_cut = wgrid - model.omega1 - model.lam ** 2 * (pv - 1j * np.pi * g2w)
+        return wgrid, model.lam ** 2 * g2w / np.abs(alpha_cut) ** 2, dw
 
     return _memoized(model, ("density", n_points), density)
+
+
+def _end_weights() -> np.ndarray:
+    """delta_k, k = 0..7: sum_k f(k) + delta_k (f(k) + f(N - k)) over the
+    nodes 0..N integrates every polynomial of degree < 8 exactly (N >= 15).
+    They solve sum_k delta_k k^p = -1/2 for p = 0, B_{p+1}/(p+1) for odd p
+    and 0 for even p > 0, the trapezoid and Euler-Maclaurin end terms."""
+    moments = [-1 / 2, 1 / 12, 0.0, -1 / 120, 0.0, 1 / 252, 0.0, -1 / 240]
+    return np.linalg.solve(np.vander(np.arange(8.0), increasing=True).T, moments)
+
+
+def _half_harmonic(x: np.ndarray) -> np.ndarray:
+    """H(x) = sum_{m < x} 1/(m + 1/2) = psi(x + 1/2) - psi(1/2) at integers
+    x >= 0: summed below 40, and from 40 on by the asymptotic series of the
+    digamma function psi to z^-8, whose next term is below 1e-18."""
+    z = x + 0.5
+    zi = 1.0 / (z * z)
+    series = zi * (1 / 12 - zi * (1 / 120 - zi * (1 / 252 - zi / 240)))
+    head = np.concatenate(([0.0], np.cumsum(1.0 / (np.arange(40) + 0.5))))
+    return np.where(x < 40, head[np.minimum(x, 40)],
+                    np.log(z) - 0.5 / z - series + np.euler_gamma + 2.0 * np.log(2.0))
 
 
 def _check_phase(largest: float):

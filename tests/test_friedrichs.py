@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import threading
 import warnings
@@ -6,15 +7,16 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import expi
 
 from arrowlab import friedrichs
 from arrowlab.friedrichs import (FriedrichsModel, _arrowhead_spectrum,
-                                 _cut_integral, _diff_factors, _gauss_legendre,
-                                 _secular_sums,
+                                 _cut_integral, _diff_factors, _end_weights,
+                                 _gauss_legendre, _secular_sums, _solve_arrowhead,
+                                 _toeplitz_cauchy,
                                  alpha, boundary_alpha, damping_matrix,
                                  discretize, find_pole, lambda_lyapunov,
                                  mixed_state_decay, pole_approximation,
@@ -309,6 +311,141 @@ def test_banded_secular_sums_match_masked(n, share, seed):
     assert np.all(np.abs(p_right - p_right_ref) <= 1e-13 * p_right_ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 2000), rows=st.integers(1, 3),
+       kernel=st.sampled_from(["cauchy", "far", "random"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_toeplitz_product_matches_the_direct_sum(m, rows, kernel, seed):
+    # an FFT convolution of length L rounds to a few eps log2(L) of
+    # ||values|| ||kernel|| (Higham 2002, sec. 24.1), which bounds every sum
+    # of |terms|; an output's own sum of |terms| can be far smaller
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, m)) * 10.0 ** rng.uniform(-8, 8, (rows, m))
+    lags = np.arange(1 - m, m, dtype=float)
+    if kernel == "cauchy":
+        k = 1.0 / (lags + 0.5)
+    elif kernel == "far":
+        k = np.divide(1.0, lags ** int(rng.integers(1, 18)), out=np.zeros_like(lags),
+                      where=np.abs(lags) > 8)
+    else:
+        k = rng.standard_normal(lags.size)
+    got = _toeplitz_cauchy(values, k)
+    assert got.shape == (rows, m)
+    scale = 2.0 * max(np.log2(friedrichs._fft_size(2 * m - 1)), 1.0) * np.finfo(float).eps
+    for row, out in zip(values, got):
+        direct = np.convolve(row, k)[m - 1:2 * m - 1]
+        assert np.abs(out - direct).max() <= scale * np.linalg.norm(row) * np.linalg.norm(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(15, 10 ** 5))
+def test_end_weights_integrate_polynomials_below_degree_8(n):
+    # the nodes 0..n scaled to [0, 1], trapezoid weights plus the corrections
+    delta = _end_weights()
+    x = np.arange(n + 1) / n
+    w = np.full(n + 1, 1.0 / n)
+    w[:8] += delta / n
+    w[-8:] += delta[::-1] / n
+    for p in range(8):
+        assert abs(w @ x ** p * (p + 1) - 1.0) <= 1e-13
+
+
+def test_half_harmonic_sums_match_exact_partial_sums():
+    # every H(x) below 200, where the summed head meets the series, and 40
+    # more up to 10**5, against the partial sums of the rounded terms
+    terms = 1.0 / (np.arange(10 ** 5) + 0.5)
+    x = np.concatenate((np.arange(200), np.random.default_rng(3).integers(200, 10 ** 5, 40)))
+    exact = np.array([math.fsum(terms[:k]) for k in x])
+    got = friedrichs._half_harmonic(x)
+    assert np.all(np.abs(got - exact) <= 4.0 * np.finfo(float).eps * np.maximum(exact, 1.0))
+
+
+def _density_by_cut_rule(model, n_points):
+    """psi as the 400-node Gauss-Legendre rule of alpha (_cut_integral) gives it."""
+    wgrid = (np.arange(n_points) + 0.5) * (model.omega_max / n_points)
+    return wgrid, model.lam ** 2 * model.g2(wgrid) / np.abs(boundary_alpha(wgrid, model)) ** 2
+
+
+@settings(max_examples=4, deadline=None)
+@given(lam=st.floats(0.05, 0.3))
+def test_density_matches_the_cut_rule(lam):
+    model = FriedrichsModel(omega1=1.0, lam=lam)
+    for n_points in (1, 2, 17, 401, 2001, 40001):
+        wgrid, psi, dw = spectral_density(model, n_points)
+        ref_grid, ref = _density_by_cut_rule(model, n_points)
+        assert np.array_equal(wgrid, ref_grid) and dw == model.omega_max / n_points
+        assert np.abs(psi / ref - 1.0).max() <= 1e-12
+
+
+def test_far_field_spectrum_matches_the_exact_sweeps(monkeypatch):
+    # Every coupling is kept, one run of the grid.  A root passes the
+    # stopping test when |G| <= 8 eps S, S = |o - a| + y + sum|q| <= |l - a|
+    # + 2 y + sum|q|, y its distance from its pole, so it lies within
+    # 8 eps S / G' of the true root, G' = 1 + sum p; l = o + s y then rounds
+    # by half an ulp.
+    model = FriedrichsModel(omega1=1.0, lam=0.12)
+    fields = _count_calls(monkeypatch, "_far_field")
+    rows, secular_sums = [], friedrichs._secular_sums
+    monkeypatch.setattr(friedrichs, "_secular_sums",
+                        lambda *args: rows.append(args[-1]) or secular_sums(*args))
+    evals, weights = _solve_arrowhead(model, 2000)
+    assert len(fields) == 1
+    # every root takes its stopping test and its weight on exact sums
+    assert np.array_equal(np.unique(np.concatenate(rows)), np.arange(2001))
+    monkeypatch.setattr(friedrichs, "_far_field", lambda z2: None)
+    exact_evals, exact_weights = _solve_arrowhead(model, 2000)
+    d, c = friedrichs._mode_grid(model, 2000)
+    j = np.arange(d.size + 1)
+    q_left, q_right, p_left, p_right = _secular_sums(d, c ** 2, exact_evals, np.zeros(j.size),
+                                                     np.ones(j.size), j)
+    y = np.abs(exact_evals[:, None] - d).min(1)
+    scale = np.abs(exact_evals - model.omega1) + 2.0 * y + (q_left - q_right)
+    eps = np.finfo(float).eps
+    bound = 16.0 * eps * scale / (1.0 + p_left + p_right) + eps * np.abs(exact_evals)
+    assert np.all(np.abs(evals - exact_evals) <= bound)
+    assert np.all(np.abs(weights - exact_weights) <= 1e-13 * exact_weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 3000), seed=st.integers(0, 2 ** 32 - 1))
+def test_far_field_sums_match_the_exact_sums(n, seed):
+    # g^2-like couplings on a uniform grid and every interior root at a
+    # random offset from either end of its gap; the FFT rounds to a few eps
+    # of the largest sums, not of each root's own
+    rng = np.random.default_rng(seed)
+    dw = 10.0 ** rng.uniform(-3, 0)
+    d = (np.arange(n) + 0.5) * dw
+    z2 = 10.0 ** rng.uniform(-8, 0) * np.exp(-rng.uniform(0, 20) * np.arange(n) / n)
+    j = np.arange(1, n)
+    sign = rng.choice([-1.0, 1.0], j.size)
+    pole = j - (sign > 0)
+    y = rng.uniform(1e-9, 0.5, j.size) * dw
+    exact = _secular_sums(d, z2, d[pole], y, sign, j)
+    far = friedrichs._far_sums(friedrichs._far_field(z2), z2, dw, pole, sign * y / dw, j)
+    q_abs, p_sum = exact[0] - exact[1], exact[2] + exact[3]
+    for got, want, scale in zip(far, exact, (q_abs, q_abs, p_sum, p_sum)):
+        assert np.abs(got - want).max() <= 32.0 * np.finfo(float).eps * scale.max()
+
+
+def test_split_pole_runs_take_the_exact_sweeps(monkeypatch):
+    # couplings vanish for |omega - 5| < 1, so the kept poles are two runs of
+    # the grid and every sweep is exact
+    def g(w):
+        w = np.asarray(w)
+        return np.where(np.abs(w - 5.0) < 1.0, 0.0, np.exp(-w / 2.0))
+
+    model = FriedrichsModel(omega1=1.0, lam=0.3, g=g)
+    fields = _count_calls(monkeypatch, "_far_field")
+    evals, weights = _arrowhead_spectrum(model, 400)
+    assert fields == []
+    h, _ = discretize(model, 400)
+    assert np.count_nonzero(h[0, 1:] == 0.0) == 40
+    ev, vec = np.linalg.eigh(h)
+    order = np.argsort(evals, kind="stable")
+    assert np.abs(evals[order] - ev).max() <= 1e-12 * model.omega_max
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    assert np.abs(weights[order] - vec[0] ** 2).max() <= 1e-12
+
+
 @pytest.mark.parametrize("t", [np.linspace(3.0, 700.0, 57), [-1e-4, 1e-4], [123.4]])
 def test_quadrature_matches_direct_sum(t):
     wgrid, psi, dw = spectral_density(MODEL, 2001)
@@ -329,14 +466,26 @@ def _direct_phase_sum(evals, weights, t):
 @settings(max_examples=40, deadline=None)
 @given(n_t=st.integers(1, 2500), n_modes=st.integers(1, 400), t0=st.floats(-1000.0, 1000.0),
        log_dt=st.floats(-4.0, 1.0), lam=st.floats(0.01, 1.0), omega1=st.floats(0.1, 10.0))
+@example(n_t=26, n_modes=198, t0=0.0, log_dt=-4.0, lam=0.5, omega1=0.25)
 def test_factored_oracle_matches_direct_phase_sum(n_t, n_modes, t0, log_dt, lam, omega1):
-    # each factor's phase is rounded once, as the direct phase is, so the
-    # error stays a few eps of the largest phase
+    # Phases: each factor's phase is rounded once, as the direct phase is, so
+    # that error stays a few eps of the largest phase.  Sums: with u = eps/2,
+    # a k-term dot product summed in any order is within gamma_k sum|terms|,
+    # gamma_k ~ k u, of its value (Higham 2002, sec. 3.1).  Per time, the
+    # direct route's real and imaginary parts are N-term dot products of the
+    # weights, N = evals.size, with one more rounding per term (gamma_{N+1});
+    # the factored route's are 2N-term sums of (cos a)(w cos b) and
+    # (sin a)(w sin b), with two products per term and one combination
+    # (gamma_{2N+2}).  The weights are >= 0 and sum to 1, and
+    # |cos a cos b| + |sin a sin b| <= 1, so each part of the two routes
+    # differs by at most gamma_{N+1} + gamma_{2N+2} ~ 3 (N + 1) u, and the
+    # modulus by twice that, 3 (N + 1) eps.
     model = FriedrichsModel(omega1=omega1, lam=lam)
     t = t0 + 10.0 ** log_dt * np.arange(n_t)
     evals, weights = _arrowhead_spectrum(model, n_modes)
     got = survival_amplitude_oracle(model, t, n_modes)
-    bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(t).max() * np.abs(evals).max())
+    eps = np.finfo(float).eps
+    bound = (4.0 * (1.0 + np.abs(t).max() * np.abs(evals).max()) + 3.0 * (evals.size + 1)) * eps
     assert got.shape == (n_t,)
     assert np.abs(got - _direct_phase_sum(evals, weights, t)).max() <= bound
 
@@ -395,22 +544,27 @@ def _count_calls(monkeypatch, name):
 def test_spectrum_and_density_are_solved_once_per_model_and_size(monkeypatch):
     model = FriedrichsModel(omega1=1.0, lam=0.12)
     sweeps = _count_calls(monkeypatch, "_secular_sums")
-    rules = _count_calls(monkeypatch, "_cut_integral")
+    fields = _count_calls(monkeypatch, "_far_field")
+    products = _count_calls(monkeypatch, "_toeplitz_cauchy")
+
+    def rules():  # the density's Toeplitz products; each far field makes one too
+        return len(products) - len(fields)
+
     evals, weights = spectrum = _arrowhead_spectrum(model, 401)
     # one size for both: the memo keeps them apart
     wgrid, psi, dw = density = spectral_density(model, 401)
-    solved = len(sweeps), len(rules)
+    solved = len(sweeps), rules()
     assert min(solved) > 0
     assert _arrowhead_spectrum(model, 401) is spectrum
     assert spectral_density(model, 401) is density
     survival_amplitude_oracle(model, [0.0, 1.0], n_modes=401)
     survival_amplitude_quadrature(model, [0.0, 1.0], n_points=401)
-    assert (len(sweeps), len(rules)) == solved
+    assert (len(sweeps), rules()) == solved
 
     assert _arrowhead_spectrum(model, 400)[0].size == 401
     assert len(sweeps) > solved[0]
     assert spectral_density(model, 400)[0].size == 400
-    assert len(rules) > solved[1]
+    assert rules() > solved[1]
 
     for arr in (evals, weights, wgrid, psi):
         with pytest.raises(ValueError, match="read-only"):
@@ -426,9 +580,9 @@ def test_spectrum_and_density_are_solved_once_per_model_and_size(monkeypatch):
 
     # one survival_probability, its routes on two threads: one solve, one density
     solves = _count_calls(monkeypatch, "_solve_arrowhead")
-    densities = _count_calls(monkeypatch, "boundary_alpha")
+    before = rules()
     survival_probability(dataclasses.replace(model), [0.0, 1.0], n_modes=401, n_points=401)
-    assert (len(solves), len(densities)) == (1, 1)
+    assert (len(solves), rules() - before) == (1, 1)
 
 
 def test_concurrent_routes_match_sequential_bit_for_bit():

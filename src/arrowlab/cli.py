@@ -3,8 +3,9 @@ config-echo headers, and `verify` suites for the theorem checks.
 
 Each `cmd_*(args, rng)` computes and returns `(artifacts, checks)`: artifacts
 map a file name to its body, in write order; checks map a failure message to a
-bool written as `value <= bound`, so a NaN fails.  `main` alone resolves the
-seed (ARROWLAB_SEED wins), builds the generator, writes and gates.
+bool written as `value <= bound`, so a NaN fails.  `main` alone builds the
+generator from the seed (`--seed`, or the config file's `seed=`), writes and
+gates.
 
 Exit codes: 0 success, 1 usage error (a NaN or infinite number included), 2
 numerical-invariant failure or a library routine that did not converge.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -183,8 +183,8 @@ def cmd_cosmo_gap(args, rng):
     params = cosmo.CosmoParams(temp0=args.t0_temp, omega1=args.omega1, gamma=args.gamma_t0)
     t_grid = np.geomspace(0.01, 1e4, 200)
     roots = cosmo.critical_times(params)
-    return ({"gap.csv": cosmo.gap_to_csv(params, t_grid),
-             "roots.json": cosmo.roots_to_json(params) + "\n"},
+    return ({"gap.csv": cosmo.gap_to_csv(params, t_grid, roots),
+             "roots.json": cosmo.roots_to_json(roots) + "\n"},
             {"critical-time root residual": max(roots.get("residuals", [0.0])) <= 1e-10})
 
 
@@ -343,7 +343,7 @@ def build_parser() -> _Parser:
     sp = command("friedrichs", cmd_friedrichs)
     sp.add_argument("--omega1", type=_finite, default=1.0)
     sp.add_argument("--lambda", dest="lam", type=_finite, default=0.1)
-    sp.add_argument("--n-modes", type=int, default=2000)
+    sp.add_argument("--n-modes", type=int, default=friedrichs.N_MODES)
     sp.add_argument("--t-max", type=_finite, default=400.0)
     sp.add_argument("--n-times", type=int, default=201)
 
@@ -400,7 +400,6 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         args = parser.parse_args(argv)
     try:
-        args.seed = int(os.environ.get("ARROWLAB_SEED", args.seed))
         artifacts, checks = args.func(args, np.random.default_rng(args.seed))
         for name, body in artifacts.items():
             out = Path(args.out)
@@ -410,7 +409,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # a library routine that did not converge
         print(f"arrowlab: numerical invariant failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"arrowlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     failed = [msg for msg, ok in checks.items() if not ok]

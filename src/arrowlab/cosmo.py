@@ -178,36 +178,28 @@ def critical_times(params: CosmoParams) -> dict:
     return out
 
 
-def regime_report(params: CosmoParams, t_grid) -> list:
-    """Label each time by the sign of the gap rate."""
-    roots = critical_times(params)["times"]
-    labels = []
-    for t in np.asarray(t_grid, dtype=float):
+def gap_to_csv(params: CosmoParams, t_grid, roots: dict) -> str:
+    """The gap and its rate on t_grid, each row labelled by its regime from
+    the sign of its rate and the critical times of `roots` (critical_times)."""
+    times = roots["times"]
+    rows = []
+    for t in map(float, np.asarray(t_grid, dtype=float)):
         rate = entropy_gap_rate(t, params)
-        if len(roots) < 2 or t >= roots[1]:
-            labels.append("final-approach" if rate <= 0 else "complexity-growth")
-        elif t < roots[0]:
-            labels.append("thermalizing-early")
+        if len(times) < 2 or t >= times[1]:
+            regime = "final-approach" if rate <= 0 else "complexity-growth"
         else:
-            labels.append("complexity-growth")
-    return labels
+            regime = "thermalizing-early" if t < times[0] else "complexity-growth"
+        rows.append((t, entropy_gap(t, params), rate, regime))
+    return to_csv("t,delta_s,rate,regime", rows)
 
 
-def gap_to_csv(params: CosmoParams, t_grid) -> str:
-    labels = regime_report(params, t_grid)
-    ts = map(float, np.asarray(t_grid, dtype=float))
-    return to_csv("t,delta_s,rate,regime",
-                  ((t, entropy_gap(t, params), entropy_gap_rate(t, params), lab)
-                   for t, lab in zip(ts, labels)))
-
-
-def roots_to_json(params: CosmoParams) -> str:
-    r = critical_times(params)
-    times = r["times"]
+def roots_to_json(roots: dict) -> str:
+    """The critical times and their asymptotics from critical_times' result."""
+    times = roots["times"]
     return json.dumps({
         "t_cr1": times[0] if times else None,
         "t_cr2": times[1] if times else None,
-        "asymptotic_1": r["asymptotic_1"],
-        "asymptotic_2": r["asymptotic_2"],
-        "discriminant": r["discriminant"],
+        "asymptotic_1": roots["asymptotic_1"],
+        "asymptotic_2": roots["asymptotic_2"],
+        "discriminant": roots["discriminant"],
     })

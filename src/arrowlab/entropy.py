@@ -48,7 +48,7 @@ def conditional_entropy(rho: Density, sigma: Density):
 
     Returns NEG_INF when rho puts mass where sigma vanishes.
     """
-    return _hc_vec(*(v.ravel() for v in on_common_grid(rho.values, sigma.values, rho.base)))
+    return _hc_vec(*(v.ravel() for v in on_common_grid(rho.values, sigma.values)))
 
 
 def _gibbs(alpha: np.ndarray, nu: float, base: int):

@@ -52,6 +52,10 @@ import numpy as np
 
 from .table import to_csv
 
+# default sizes: modes of the oracle's discretization, points of the quadrature's grid
+N_MODES = 2000
+N_POINTS = 40001
+
 
 def _default_g(w):
     return np.exp(-np.asarray(w) / 2.0)
@@ -66,14 +70,14 @@ class FriedrichsModel:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < 20.0 * float(self.omega1) < math.inf:
+        if not 0 < self.omega_max < math.inf:
             raise ValueError("omega1 must be positive, with the band top 20 omega1 finite")
         if not math.isfinite(self.lam):
             raise ValueError("lam must be finite")
 
     @property
     def omega_max(self) -> float:  # top of the continuum band [0, 20 omega1]
-        return 20.0 * self.omega1
+        return 20.0 * float(self.omega1)  # a Python float: overflow gives inf silently
 
     def g2(self, w):
         return np.asarray(self.g(w)) ** 2
@@ -258,7 +262,7 @@ def _mode_grid(model: FriedrichsModel, n_modes: int):
     return wgrid, model.lam * np.asarray(model.g(wgrid)) * np.sqrt(dw)
 
 
-def discretize(model: FriedrichsModel, n_modes: int = 2000):
+def discretize(model: FriedrichsModel, n_modes: int = N_MODES):
     """(N+1)x(N+1) real symmetric Hamiltonian on a midpoint omega grid."""
     wgrid, coup = _mode_grid(model, n_modes)
     h = np.diag(np.concatenate(([model.omega1], wgrid)))
@@ -364,7 +368,7 @@ def _far_sums(field, z2, dw, pole, x, j):
     return np.concatenate((q / dw, p / dw ** 2))
 
 
-def _arrowhead_spectrum(model: FriedrichsModel, n_modes: int = 2000):
+def _arrowhead_spectrum(model: FriedrichsModel, n_modes: int = N_MODES):
     """Eigenvalues and weights |<1|l>|^2 of discretize(model, n_modes)[0],
     without forming the matrix: solved once per model and n_modes
     (_solve_arrowhead) and returned read-only."""
@@ -492,7 +496,7 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
 
 
 def survival_amplitude_oracle(model: FriedrichsModel, t_grid,
-                              n_modes: int = 2000):
+                              n_modes: int = N_MODES):
     """A(t) = <1|e^{-iHt}|1> = sum_l |<1|l>|^2 e^{-ilt} over the exact
     spectrum of the discretized H (_arrowhead_spectrum), for an evenly
     spaced t_grid (_even_grid).
@@ -532,7 +536,7 @@ def survival_amplitude_oracle(model: FriedrichsModel, t_grid,
     return out[:n_t]
 
 
-def spectral_density(model: FriedrichsModel, n_points: int = 40001):
+def spectral_density(model: FriedrichsModel, n_points: int = N_POINTS):
     """psi(omega) = lam^2 g^2 / |alpha(omega+i0)|^2 on a fine midpoint grid:
     (omega grid, psi, d omega), computed once per model and n_points and
     returned read-only.
@@ -656,7 +660,7 @@ def _fft_size(n: int) -> int:
 
 
 def survival_amplitude_quadrature(model: FriedrichsModel, t_grid,
-                                  n_points: int = 40001):
+                                  n_points: int = N_POINTS):
     """A(t) = int psi(omega) e^{-i omega t} domega as the midpoint sum over
     the spectral_density grid, for an evenly spaced t_grid (_even_grid).
 
@@ -695,13 +699,13 @@ def pole_approximation(pole: ResonancePole, t):
     return np.exp(-pole.gamma1 * np.asarray(t, dtype=float))
 
 
-def recurrence_time(model: FriedrichsModel, n_modes: int = 2000) -> float:
+def recurrence_time(model: FriedrichsModel, n_modes: int = N_MODES) -> float:
     """Revival horizon of the uniform discretization, 2 pi / d omega."""
     return 2.0 * np.pi * n_modes / model.omega_max
 
 
 def survival_probability(model: FriedrichsModel, t_grid,
-                         n_modes: int = 2000, n_points: int = 40001):
+                         n_modes: int = N_MODES, n_points: int = N_POINTS):
     """P(t) by the exact spectrum of the discretized H (the oracle) and by
     spectral-density quadrature, for an evenly spaced t_grid; a scalar or an
     array of any shape is read as the flat grid, and every array of the

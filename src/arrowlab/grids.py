@@ -90,7 +90,7 @@ def _tile_last(arr: np.ndarray, reps: int) -> np.ndarray:
     return np.repeat(arr[..., None, :], reps, axis=-2).reshape(*arr.shape[:-1], -1)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Density(_BetaGrid):
     """Non-negative piecewise-constant probability density on a beta-adic grid.
 
@@ -168,7 +168,7 @@ def uniform_density(base: int, level: int, dims: int = 1) -> Density:
     return Density(base, np.ones(shape), normalize=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSet(_BetaGrid):
     """Boolean membership on a beta-adic grid; pairs with a Density grid."""
 
@@ -234,7 +234,7 @@ def _reduce_to(arr: np.ndarray, shape, tiles: int = 1) -> np.ndarray:
     return _tile_last(arr, shape[-1] // per)
 
 
-def on_common_grid(a: np.ndarray, b: np.ndarray, base: int):
+def on_common_grid(a: np.ndarray, b: np.ndarray):
     """Replicate both arrays onto their least common refinement.
 
     Only for what needs a value per fine cell: a nonlinear functional of
@@ -275,7 +275,7 @@ def weak_pairing(d: Density, g) -> float:
     return pairing(d, np.asarray(g, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticKernel:
     """Column-stochastic transition matrix acting on cell-value vectors."""
 
@@ -312,7 +312,7 @@ def apply_kernel_signed(k: StochasticKernel, values: np.ndarray) -> np.ndarray:
     return k.matrix @ values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Disjoint grid sets covering the space, all with positive measure."""
 
@@ -322,14 +322,13 @@ class Partition:
         cells = tuple(self.cells)
         if len(cells) < 2:
             raise TrivialPartitionError("partition needs at least two cells")
-        base = cells[0].base
         ms = [c.member for c in cells]
         # count cover on the least common grid of all the cells
         count = np.zeros(tuple(map(max, *(m.shape for m in ms))), dtype=int)
         for m in ms:
             if not m.any():
                 raise TrivialPartitionError("partition cell has zero measure")
-            count += on_common_grid(m, count, base)[0]
+            count += on_common_grid(m, count)[0]
         if np.any(count != 1):
             raise ValueError("partition cells must be disjoint and cover the space")
         object.__setattr__(self, "cells", cells)
@@ -357,7 +356,7 @@ def coarse_grain(d: Density, p: Partition) -> Density:
     """
     out = d.values
     for c, avg in zip(p.cells, coarse_values(d, p)):
-        out, mm = on_common_grid(out, c.member, d.base)
+        out, mm = on_common_grid(out, c.member)
         out = np.where(mm, avg, out)
     return Density(d.base, out, normalize=False)
 

@@ -112,21 +112,35 @@ def test_outputs_deterministic_for_seed(tmp_path):
         [r for r in rows_b if not r.startswith("#")]
 
 
-def test_env_seed_overrides(tmp_path, monkeypatch):
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("ARROWLAB_SEED", "123")
-    assert run(["renyi-evolve", "--level", "6", "--t", "4", "--seed", "9",
-                "--out", str(a)]) == 0
-    monkeypatch.delenv("ARROWLAB_SEED")
-    assert run(["renyi-evolve", "--level", "6", "--t", "4", "--seed", "123",
-                "--out", str(b)]) == 0
-    assert (a / "renyi_evolution.csv").read_text().replace("seed=123", "") \
-        .replace("# ", "") != ""
-    # same rng stream: identical data rows
-    rows_a = (a / "renyi_evolution.csv").read_text().splitlines()
-    rows_b = (b / "renyi_evolution.csv").read_text().splitlines()
-    assert [r for r in rows_a if not r.startswith("#")] == \
-        [r for r in rows_b if not r.startswith("#")]
+def _renyi_rows(out, config=None, seed=None):
+    argv = (["--config", str(config)] if config else []) + ["renyi-evolve", "--level", "6",
+                                                            "--t", "4", "--out", str(out)]
+    assert run(argv + (["--seed", seed] if seed else [])) == 0
+    return [r for r in (out / "renyi_evolution.csv").read_text().splitlines()
+            if not r.startswith("#")]
+
+
+def test_config_seed_matches_flag_and_flag_wins(tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("seed=123\n")
+    from_config = _renyi_rows(tmp_path / "a", config=cfg)
+    assert "# seed=123" in (tmp_path / "a" / "renyi_evolution.csv").read_text().splitlines()
+    assert from_config == _renyi_rows(tmp_path / "b", seed="123")
+    flag_wins = _renyi_rows(tmp_path / "c", config=cfg, seed="9")
+    assert flag_wins == _renyi_rows(tmp_path / "d", seed="9") != from_config
+
+
+def test_out_of_memory_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    # renyi-evolve --level 40 asks numpy for 8 TiB; the MemoryError is raised here
+    # without allocating anything
+    def out_of_memory(args, rng):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_renyi_evolve", out_of_memory)
+    out = tmp_path / "d"
+    assert run(["renyi-evolve", "--level", "40", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "arrowlab: error: Unable to allocate 8.00 TiB for an array\n"
+    assert not out.exists()
 
 
 def test_header_echoes_config(tmp_path):

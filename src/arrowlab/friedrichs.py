@@ -27,12 +27,15 @@ over the time lattice, so cos and sin run O(sqrt(len(t))) times per
 eigenvalue, in O(N*sqrt(len(t))) memory.  The quadrature sums the spectral
 density on an evenly spaced omega grid; over the t grid that sum is one
 chirp-z transform (Rabiner, Schafer & Rader 1969) done as a Bluestein FFT
-convolution of 5-smooth length in O(n_points + len(t)) memory.
-survival_probability runs the two routes on two threads, the quadrature on
-a worker under the caller's numpy error state and the oracle on the calling
-thread, and joins the worker before it returns; their ufuncs, FFTs and BLAS
-calls release the GIL.  Each route raises ValueError when its largest phase
-argument is not finite, and then when its t grid is not evenly spaced.
+convolution of 5-smooth length in O(n_points + len(t)) memory.  Its phases
+and kernel spectrum depend only on the grid, so they form a read-only plan
+built once per grid, and the last two plans are kept (_chirp_plan).
+survival_probability runs the two routes on two threads, the oracle on a
+worker under the caller's numpy error state and the quadrature on the
+calling thread, and joins the worker before it returns; their ufuncs, FFTs
+and BLAS calls release the GIL.  Each route raises ValueError when its
+largest phase argument is not finite, and then when its t grid is not
+evenly spaced.
 
 A FriedrichsModel is immutable: it computes its exact spectrum and its
 spectral density once per size and returns them read-only, so repeated
@@ -45,8 +48,9 @@ from __future__ import annotations
 import contextvars
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -55,6 +59,13 @@ from .table import to_csv
 # default sizes: modes of the oracle's discretization, points of the quadrature's grid
 N_MODES = 2000
 N_POINTS = 40001
+
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+# alpha_II(z) = z - omega1 - lam^2 int g^2/(z-u) du + 2 pi i lam^2 g^2(z): at
+# find_pole's first iterate, |Im z| = pi lam^2 g^2(omega1), so for |g^2| <= 1
+# it is at most 3 pi lam^2, and its central difference subtracts two such
+# values, so 6 pi lam^2 must be finite
+_LAM_MAX = _SQRT_MAX / math.sqrt(6.0 * math.pi)
 
 
 def _default_g(w):
@@ -72,8 +83,8 @@ class FriedrichsModel:
     def __post_init__(self):
         if not 0 < self.omega_max < math.inf:
             raise ValueError("omega1 must be positive, with the band top 20 omega1 finite")
-        if not math.isfinite(self.lam):
-            raise ValueError("lam must be finite")
+        if not abs(self.lam) <= _LAM_MAX:
+            raise ValueError(f"lam must be finite, with |lam| at most {_LAM_MAX:.4g}")
 
     @property
     def omega_max(self) -> float:  # top of the continuum band [0, 20 omega1]
@@ -258,6 +269,13 @@ def _mode_grid(model: FriedrichsModel, n_modes: int):
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     dw = model.omega_max / n_modes
+    # the secular solve squares 1/(l - w_k); with the couplings dominant the
+    # roots at the band's ends sit dw/H_N from their poles, H_N < ln N + 1 the
+    # harmonic number, and its trial roots came up to twice as near (measured
+    # for N up to 20000)
+    if dw < 4.0 * (math.log(n_modes) + 1.0) / _SQRT_MAX:
+        raise ValueError("omega1 is too small for n_modes: the grid step 20 omega1 / n_modes "
+                         "must be at least 4 (ln n_modes + 1) / sqrt(float max)")
     wgrid = (np.arange(n_modes) + 0.5) * dw
     return wgrid, model.lam * np.asarray(model.g(wgrid)) * np.sqrt(dw)
 
@@ -667,11 +685,11 @@ def survival_amplitude_quadrature(model: FriedrichsModel, t_grid,
     With omega_k = (k + 1/2) dw and t_m = t_0 + m dt the sum is a chirp-z
     transform: k m = (k^2 + m^2 - (m - k)^2)/2 turns it into one Bluestein
     convolution, done with FFTs of a 5-smooth length (_fft_size) in
-    O(n_points + len(t_grid)) memory.  Chirp phases are reduced mod 2 pi
-    exactly (_turns), so they stay accurate however large k^2 dw dt grows;
-    the chirp b k^2 is computed once and serves the input and both halves of
-    the kernel, whose lags are squared.  Times at which a chirp phase
-    overflows raise ValueError.
+    O(n_points + len(t_grid)) memory.  Its phases and kernel spectrum depend
+    only on the grid, not on psi (_chirp_plan), so a call builds them once
+    per grid and then makes one FFT of psi dw times the input phases, one
+    product with the kernel spectrum and one inverse FFT.  Times at which a
+    chirp phase overflows raise ValueError.
     """
     t_grid = np.asarray(t_grid, dtype=float).ravel()
     _check_phase(float(np.abs(t_grid).max(initial=0.0)))
@@ -681,17 +699,35 @@ def survival_amplitude_quadrature(model: FriedrichsModel, t_grid,
     if n_t == 0:
         return np.empty(0, dtype=complex)
     # omega_k t_m / (2 pi) = u (2k + 1) + b (k^2 + m^2 - (m - k)^2 + m)
-    u = float(dw) * t0 / (4.0 * np.pi)
-    b = float(dw) * dt / (4.0 * np.pi)
+    x_phase, kernel_spec, out_phase = _chirp_plan(n_points, n_t, float(dw) * t0 / (4.0 * np.pi),
+                                                  float(dw) * dt / (4.0 * np.pi))
+    spec = np.fft.fft(psi * dw * x_phase, kernel_spec.size)
+    spec *= kernel_spec
+    return np.fft.ifft(spec)[:n_t] * out_phase
+
+
+@lru_cache(maxsize=2)  # a run's t grid and its late times, which calls alternate
+def _chirp_plan(n_points: int, n_t: int, u: float, b: float):
+    """The read-only chirp-z plan of survival_amplitude_quadrature for
+    omega_k t_m / (2 pi) = u (2k + 1) + b (k^2 + m^2 - (m - k)^2 + m): the
+    input phases e^{-2 pi i (u (2k + 1) + b k^2)}, k < n_points, the FFT of
+    the Bluestein kernel e^{2 pi i b l^2} at the lags 1 - n_points..n_t - 1,
+    and the output phases e^{-2 pi i b m (m + 1)}, m < n_t.  Phases are
+    reduced mod 2 pi exactly (_turns), so they stay accurate however large
+    k^2 dw dt grows; the chirp b k^2 is computed once and serves the input
+    and both halves of the kernel, whose lags are squared.  A phase that
+    overflows raises ValueError, and lru_cache keeps no exception."""
     k = np.arange(max(n_points, n_t))
     chirp = _turns(b, k * k)
-    x = psi * dw * np.exp(-2j * np.pi * (_turns(u, 2 * k[:n_points] + 1) + chirp[:n_points]))
+    x_phase = np.exp(-2j * np.pi * (_turns(u, 2 * k[:n_points] + 1) + chirp[:n_points]))
     size = _fft_size(n_points + n_t - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:n_t] = np.exp(2j * np.pi * chirp[:n_t])
     kernel[size - n_points + 1:] = np.exp(2j * np.pi * chirp[n_points - 1:0:-1])
-    conv = np.fft.ifft(np.fft.fft(x, size) * np.fft.fft(kernel))[:n_t]
-    return conv * np.exp(-2j * np.pi * _turns(b, k[:n_t] * (k[:n_t] + 1)))
+    plan = x_phase, np.fft.fft(kernel), np.exp(-2j * np.pi * _turns(b, k[:n_t] * (k[:n_t] + 1)))
+    for x in plan:
+        x.flags.writeable = False
+    return plan
 
 
 def pole_approximation(pole: ResonancePole, t):
@@ -711,10 +747,11 @@ def survival_probability(model: FriedrichsModel, t_grid,
     array of any shape is read as the flat grid, and every array of the
     report has its length.
 
-    The two routes run at once: the quadrature on a worker thread, in a copy
-    of the caller's context (numpy's error state lives in a context
-    variable), and the oracle on this thread.  The worker is joined before
-    either route's exception propagates.  Times beyond half the
+    The two routes run at once: the oracle (the secular solve and its phase
+    table) on a worker thread, in a copy of the caller's context (numpy's
+    error state lives in a context variable), and the quadrature (the
+    spectral density and its chirp-z plan) on this thread.  The worker is
+    joined before either route's exception propagates.  Times beyond half the
     discretization recurrence horizon are flagged: there the oracle is
     contaminated by revivals.
     """
@@ -731,10 +768,10 @@ def survival_probability(model: FriedrichsModel, t_grid,
         from concurrent.futures import ThreadPoolExecutor  # not on the CLI's import path
 
         with ThreadPoolExecutor(1) as pool:
-            quadrature = pool.submit(contextvars.copy_context().run,
-                                     survival_amplitude_quadrature, model, t_grid, n_points)
-            p_a = np.abs(survival_amplitude_oracle(model, t_grid, n_modes)) ** 2
-            p_b = np.abs(quadrature.result()) ** 2
+            oracle = pool.submit(contextvars.copy_context().run,
+                                 survival_amplitude_oracle, model, t_grid, n_modes)
+            p_b = np.abs(survival_amplitude_quadrature(model, t_grid, n_points)) ** 2
+            p_a = np.abs(oracle.result()) ** 2
         flagged = t_grid > 0.5 * recurrence_time(model, n_modes)
     return {"t": t_grid, "p_oracle": p_a, "p_quadrature": p_b,
             "p_pole": pole_approximation(pole, t_grid), "flagged": flagged, "pole": pole}

@@ -293,3 +293,16 @@ def test_out_of_range_options_exit_1_without_warning(tmp_path, capsys, argv):
         assert run(argv + ["--out", str(out)]) == 1
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "1e160"], ["--lambda", "1e154"],
+                                   ["--omega1", "1e-152"], ["--omega1", "1e-160"],
+                                   ["--omega1", "1e-300"]])
+def test_friedrichs_parameters_past_float_range_exit_1_without_warning(tmp_path, capsys, flags):
+    out = tmp_path / "d"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["friedrichs", *flags, "--n-times", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("arrowlab: error: ")
+    assert not out.exists()

@@ -47,6 +47,42 @@ def test_model_rejects_level_outside_the_band():
         FriedrichsModel(omega1=1.0, lam=0.1).omega_max = 30.0
 
 
+def test_couplings_past_the_pole_search_range_are_rejected():
+    # |lam| up to sqrt(max / (6 pi)), where find_pole's arithmetic stays finite
+    lam_max = friedrichs._LAM_MAX
+    for lam in (lam_max, -lam_max):
+        assert FriedrichsModel(omega1=1.0, lam=lam).lam == lam
+    for lam in (np.nextafter(lam_max, np.inf), -1e154, 1e160, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            FriedrichsModel(omega1=1.0, lam=lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for omega1 in (1e-3, 0.3, 1.0, 5.0):
+            try:
+                find_pole(FriedrichsModel(omega1=omega1, lam=lam_max))
+            except RuntimeError:  # no pole to 1e-12 at this scale: an honest failure
+                pass
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 50, 2000])
+def test_grid_steps_too_small_for_the_secular_solve_are_rejected(n_modes):
+    # the solve stays finite from dw = 4 (ln N + 1) / sqrt(max) up, and below is rejected
+    dw_min = 4.0 * (math.log(n_modes) + 1.0) / math.sqrt(np.finfo(float).max)
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for lam in (10.0, 0.1, 1e-4):
+            at = FriedrichsModel(omega1=dw_min * n_modes / 20.0 * (1.0 + 8.0 * eps), lam=lam)
+            try:
+                evals, weights = _arrowhead_spectrum(at, n_modes)
+                assert np.isfinite(evals).all() and np.isfinite(weights).all()
+            except RuntimeError:  # the secular iteration's honest failure, not an overflow
+                pass
+            below = FriedrichsModel(omega1=dw_min * n_modes / 20.0 * (1.0 - 8.0 * eps), lam=lam)
+            with pytest.raises(ValueError, match="too small for n_modes"):
+                _arrowhead_spectrum(below, n_modes)
+
+
 def test_alpha_matches_adaptive_quadrature():
     z = 1.0 + 1.0j
 
@@ -644,19 +680,86 @@ def test_route_error_propagates_after_the_worker_is_joined(t, n_modes, problem):
     assert threading.active_count() == before
 
 
-def test_caller_error_state_reaches_the_quadrature_worker(monkeypatch):
+def test_caller_error_state_reaches_the_oracle_worker(monkeypatch):
     seen = []
-    quadrature = friedrichs.survival_amplitude_quadrature
+    oracle = friedrichs.survival_amplitude_oracle
 
     def spy(*args, **kwargs):
         seen.append((np.geterr()["over"], threading.current_thread()))
-        return quadrature(*args, **kwargs)
+        return oracle(*args, **kwargs)
 
-    monkeypatch.setattr(friedrichs, "survival_amplitude_quadrature", spy)
+    monkeypatch.setattr(friedrichs, "survival_amplitude_oracle", spy)
     with np.errstate(over="raise"):
         survival_probability(dataclasses.replace(MODEL), [0.0, 1.0], n_modes=401, n_points=401)
     (over, thread), = seen
     assert over == "raise" and thread is not threading.current_thread()
+
+
+def test_quadrature_runs_on_the_calling_thread(monkeypatch):
+    seen = []
+    quadrature = friedrichs.survival_amplitude_quadrature
+
+    def spy(*args, **kwargs):
+        seen.append(threading.current_thread())
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(friedrichs, "survival_amplitude_quadrature", spy)
+    survival_probability(dataclasses.replace(MODEL), [0.0, 1.0], n_modes=401, n_points=401)
+    assert seen == [threading.current_thread()]
+
+
+def test_cached_chirp_plans_give_the_bits_of_fresh_plans():
+    plan = friedrichs._chirp_plan
+    model = dataclasses.replace(MODEL)
+    # t, t_late, t, and t shifted: a plan is keyed by its grid's start too
+    grids = [np.linspace(0.0, 200.0, 401), np.linspace(400.0, 1000.0, 61)]
+    grids += [grids[0], grids[0] + 1.0]
+    plan.cache_clear()
+    cached = [survival_amplitude_quadrature(model, t, 4001) for t in grids]
+    assert plan.cache_info().hits == 1
+    for t, got in zip(grids, cached):
+        plan.cache_clear()
+        assert np.array_equal(survival_amplitude_quadrature(model, t, 4001), got)
+    # a grid starting at -0.0 has the key of one starting at 0.0, and either
+    # start builds a plan with the other's bits
+    pos = np.arange(11) * 0.5
+    neg = pos.copy()
+    neg[0] = -0.0
+    assert np.signbit(neg[0]) and not np.signbit(pos[0])
+    outs = []
+    for first, second in ((pos, neg), (neg, pos)):
+        plan.cache_clear()
+        outs += [survival_amplitude_quadrature(model, t, 401) for t in (first, second)]
+        assert plan.cache_info().currsize == 1
+    for out in outs[1:]:
+        assert np.array_equal(out, outs[0])
+
+
+def test_chirp_plans_are_few_and_read_only():
+    plan = friedrichs._chirp_plan
+    model = dataclasses.replace(MODEL)
+    for n_t in range(2, 7):
+        survival_amplitude_quadrature(model, np.linspace(0.0, 3.0, n_t), 401)
+    assert plan.cache_info().currsize <= 2
+    arrays = plan(401, 6, 0.0, 0.01)
+    assert plan(401, 6, 0.0, 0.01) is arrays
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_overflowing_chirp_plans_raise_every_time_and_are_not_kept():
+    plan = friedrichs._chirp_plan
+    model = dataclasses.replace(MODEL)
+    # the chirp's largest phase is (2**27 + 1) b, b = dw t / (4 pi), past float range
+    dw = spectral_density(model, 401)[2]
+    t_big = np.finfo(float).max / 134217729.0 * (4.0 * np.pi) / dw * 1.001
+    survival_amplitude_quadrature(model, [0.0, 1.0], 401)
+    size = plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflows"):
+            survival_amplitude_quadrature(model, [0.0, t_big], 401)
+        assert plan.cache_info().currsize == size
 
 
 def test_times_that_overflow_a_phase_are_rejected():

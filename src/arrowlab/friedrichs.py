@@ -9,9 +9,9 @@ comes from one rule for int g^2(u)/(z-u) du that subtracts the singularity
 at z itself and stays accurate right up to the cut; it evaluates g at
 complex z, so a custom g must accept complex input.  The spectral density
 needs alpha only at the midpoints of a uniform grid: it takes the same
-subtraction there, and its sums over uniform nodes are Cauchy sums
-sum_k a_k/(x_j - u_k) with x_j - u_k on a lattice, Toeplitz products that
-one real FFT convolution computes (_toeplitz_cauchy).
+subtraction there, and its two Cauchy sums over uniform nodes, of w_k
+g^2(u_k) and of w_k over x_j - u_k on a lattice, are Toeplitz products, two
+rows of one real FFT convolution (_toeplitz_cauchy).
 
 The two survival routes share no numerics, only the check that the t grid
 is evenly spaced, which both need, and neither builds an O(N^2) or
@@ -45,6 +45,7 @@ them.  The Gauss-Legendre rule behind alpha is built on first use.
 
 from __future__ import annotations
 
+import cmath
 import contextvars
 import json
 import math
@@ -150,15 +151,11 @@ def _memoized(model: FriedrichsModel, key, compute):
     return out
 
 
-def _diff_factors(a: np.ndarray, b: np.ndarray, shift: np.ndarray | None = None):
-    """Factors L, R whose BLAS product L[rows] @ R is a[rows, None] - b[None, :]:
-    (a, 1) @ (1, -b), or with a per-row shift (a - b) + shift[rows, None]:
-    (a, 1, shift) @ (1, -b, 1).  Its products are exact and OpenBLAS sums
-    them in column order (the tests check both forms bit for bit), so each
-    entry is rounded as in the broadcast; the product runs about three times
-    faster than the broadcast ufunc."""
-    if shift is None:
-        return np.column_stack((a, np.ones_like(a))), np.stack((np.ones_like(b), -b))
+def _diff_factors(a: np.ndarray, b: np.ndarray, shift: np.ndarray):
+    """Factors L = (a, 1, shift), R = (1, -b, 1) of _secular_sums' exact sweep:
+    L[rows] @ R is (a[rows, None] - b[None, :]) + shift[rows, None] bit for
+    bit (the tests check it), as each product is exact and OpenBLAS sums them
+    in column order, and about three times faster than the broadcast ufuncs."""
     return (np.column_stack((a, np.ones_like(a), shift)),
             np.stack((np.ones_like(b), -b, np.ones_like(b))))
 
@@ -187,27 +184,17 @@ def _cut_integral(z: np.ndarray, model: FriedrichsModel) -> np.ndarray:
     node = np.where(z.real - u[i - 1] < u[i] - z.real, i - 1, i)
     near = np.flatnonzero((z.imag == 0) & (np.abs(z.real - u[node]) < np.sqrt(_EPS) * w_max))
     slope = -model.g2(0.5 * (z.real[near] + u[node[near]]) + 1e-20j).imag / 1e-20
-    num_l, num_r = _diff_factors(-g2z, -g2u)  # g2u - g2z
-    den_l, den_r = _diff_factors(z, u)
     smooth = np.empty(z.size, dtype=np.result_type(z, g2z))
     rows = _rows(u.size)
     for s in range(0, z.size, rows):
-        num = num_l[s:s + rows] @ num_r
-        den = den_l[s:s + rows] @ den_r
+        num = g2u - g2z[s:s + rows, None]
+        den = z[s:s + rows, None] - u
         here = (near >= s) & (near < s + rows)
         num[near[here] - s, node[near[here]]] = slope[here]
         den[near[here] - s, node[near[here]]] = 1.0
         smooth[s:s + rows] = np.divide(num, den, out=num) @ wts
     zc = z.astype(complex)
     return smooth + g2z * (np.log(zc) - np.log(zc - w_max))
-
-
-def _on_cut(omega, model: FriedrichsModel) -> np.ndarray:
-    """omega as a flat float array, checked to lie inside the cut (0, W)."""
-    w = np.asarray(omega, dtype=float).ravel()
-    if not np.all((w > 0) & (w < model.omega_max)):
-        raise ValueError("omega must lie inside the cut")
-    return w
 
 
 def alpha(z: complex, sheet: str, model: FriedrichsModel) -> complex:
@@ -229,31 +216,42 @@ def alpha(z: complex, sheet: str, model: FriedrichsModel) -> complex:
 
 def boundary_alpha(omega, model: FriedrichsModel):
     """alpha(omega + i0) on the cut, by the rule `alpha` uses off it; a
-    complex for a scalar omega, an array of omega's shape for an array."""
-    w = _on_cut(omega, model)
+    complex for a scalar omega, an array of omega's shape for an array.
+    ValueError unless every omega lies inside the cut (0, W)."""
+    w = np.asarray(omega, dtype=float).ravel()
+    if not np.all((w > 0) & (w < model.omega_max)):
+        raise ValueError("omega must lie inside the cut")
     out = w - model.omega1 - model.lam ** 2 * _cut_integral(w, model)
     return complex(out[0]) if np.ndim(omega) == 0 else out.reshape(np.shape(omega))
 
 
 def find_pole(model: FriedrichsModel) -> ResonancePole:
-    """Newton iteration for the second-sheet zero near omega1."""
+    """Newton iteration for the second-sheet zero near omega1.  RuntimeError
+    when it does not converge, at once if a difference quotient is 0 or not
+    finite, an iterate is not finite or a float overflows."""
     g2 = float(model.g2(model.omega1))
     z = model.omega1 - 1j * np.pi * model.lam ** 2 * g2
     if model.lam == 0.0:
         return ResonancePole(model.omega1, 0.0, 0.0)
     h = 1e-6
-    for _ in range(_POLE_MAX_ITER):
-        f = alpha(z, "second", model)
-        if abs(f) < _POLE_TOL:
-            break
-        fp = (alpha(z + h, "second", model) - alpha(z - h, "second", model)) / (2 * h)
-        step = f / fp
-        z = z - step
-        if abs(step) < _POLE_TOL:
-            f = alpha(z, "second", model)
-            break
-    else:
-        raise RuntimeError("pole search did not converge")
+    try:
+        with np.errstate(over="raise"):
+            for _ in range(_POLE_MAX_ITER):
+                f = alpha(z, "second", model)
+                if abs(f) < _POLE_TOL:
+                    break
+                fp = (alpha(z + h, "second", model) - alpha(z - h, "second", model)) / (2 * h)
+                step = f / fp
+                z = z - step
+                if not (cmath.isfinite(fp) and cmath.isfinite(z)):
+                    raise FloatingPointError
+                if abs(step) < _POLE_TOL:
+                    f = alpha(z, "second", model)
+                    break
+            else:
+                raise FloatingPointError
+    except ArithmeticError:  # too many steps, fp = 0, a value past float range
+        raise RuntimeError("pole search did not converge") from None
     gamma1 = -2.0 * z.imag
     if gamma1 <= 0:
         raise RuntimeError(f"found a pole with gamma1 = {gamma1} <= 0")
@@ -564,11 +562,9 @@ def spectral_density(model: FriedrichsModel, n_points: int = N_POINTS):
     k = 0..n_points r, r the smallest odd integer with n_points r >= 400, so
     each omega_j is a node midpoint and omega_j - u_k = (m + 1/2) dw/r never
     vanishes.  The rule is the trapezoid rule with 8-node Euler-Maclaurin end
-    corrections (_end_weights).  Its sum over k of w_k g^2(u_k)/(omega_j -
-    u_k) is a Toeplitz product with the kernel 1/(m + 1/2), one FFT
-    convolution (_toeplitz_cauchy); that of w_k/(omega_j - u_k) is a closed
-    form (_half_harmonic) plus the end corrections, which keeps a second row
-    of FFT buffers out of memory.
+    corrections (_end_weights).  Its sums over k of w_k g^2(u_k)/(omega_j -
+    u_k) and of w_k/(omega_j - u_k) are Toeplitz products with the kernel
+    1/(m + 1/2), two rows of one FFT convolution (_toeplitz_cauchy).
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
@@ -587,12 +583,8 @@ def spectral_density(model: FriedrichsModel, n_points: int = N_POINTS):
         kernel = np.arange(1.5 - nodes, nodes)  # m + 1/2 at the lags m
         np.reciprocal(kernel, out=kernel)
         g2w = model.g2(wgrid)
-        s_g2 = _toeplitz_cauchy(wts * model.g2(np.arange(nodes) * (dw / r)), kernel)[i]
-        # the sum of 1/(i - k + 1/2) over all nodes k pairs off to
-        # H(i + 1) - H(nodes - 1 - i); the end corrections are 16 more terms
-        s_w = _half_harmonic(i + 1) - _half_harmonic(nodes - 1 - i)
-        for k in range(8):
-            s_w += delta[k] * (kernel[i - k + nodes - 1] + kernel[i + k])
+        values = np.stack((wts * model.g2(np.arange(nodes) * (dw / r)), wts))
+        s_g2, s_w = _toeplitz_cauchy(values, kernel)[:, i]
         pv = (s_g2 - g2w * s_w) + g2w * (np.log(wgrid) - np.log(w_max - wgrid))
         alpha_cut = wgrid - model.omega1 - model.lam ** 2 * (pv - 1j * np.pi * g2w)
         return wgrid, model.lam ** 2 * g2w / np.abs(alpha_cut) ** 2, dw
@@ -607,18 +599,6 @@ def _end_weights() -> np.ndarray:
     and 0 for even p > 0, the trapezoid and Euler-Maclaurin end terms."""
     moments = [-1 / 2, 1 / 12, 0.0, -1 / 120, 0.0, 1 / 252, 0.0, -1 / 240]
     return np.linalg.solve(np.vander(np.arange(8.0), increasing=True).T, moments)
-
-
-def _half_harmonic(x: np.ndarray) -> np.ndarray:
-    """H(x) = sum_{m < x} 1/(m + 1/2) = psi(x + 1/2) - psi(1/2) at integers
-    x >= 0: summed below 40, and from 40 on by the asymptotic series of the
-    digamma function psi to z^-8, whose next term is below 1e-18."""
-    z = x + 0.5
-    zi = 1.0 / (z * z)
-    series = zi * (1 / 12 - zi * (1 / 120 - zi * (1 / 252 - zi / 240)))
-    head = np.concatenate(([0.0], np.cumsum(1.0 / (np.arange(40) + 0.5))))
-    return np.where(x < 40, head[np.minimum(x, 40)],
-                    np.log(z) - 0.5 / z - series + np.euler_gamma + 2.0 * np.log(2.0))
 
 
 def _check_phase(largest: float):

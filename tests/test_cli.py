@@ -230,7 +230,11 @@ def test_non_finite_options_exit_1(tmp_path, capsys, argv, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--lambda", "1e3"], ["--omega1", "1e300"]])
+@pytest.mark.parametrize("flags", [["--lambda", "1e3"], ["--omega1", "1e300"],
+                                   *(["--omega1", w, "--lambda", lam, "--n-times", "3"]
+                                     for w, lam in (("1000", "1e50"), ("700", "1e100"),
+                                                    ("745", "1e120"), ("1000", "1e153"),
+                                                    ("100", "1e50")))])
 def test_friedrichs_non_convergence_exit_2(tmp_path, capsys, flags):
     out = tmp_path / "d"
     assert run(["friedrichs", *flags, "--n-modes", "50", "--t-max", "5", "--out", str(out)]) == 2

@@ -234,6 +234,53 @@ def test_pole_approaches_bare_level():
         prev = scaled
 
 
+def test_find_pole_stops_on_a_zero_difference_quotient():
+    # g^2(omega1) underflows, so the first iterate is real; Newton doubles z
+    # along the real axis until z +- h rounds to z and the quotient is 0
+    for omega1, lam in ((1000.0, 1e50), (700.0, 1e100), (745.0, 1e120), (1000.0, 1e153)):
+        with pytest.raises(RuntimeError, match="pole search did not converge"):
+            find_pole(FriedrichsModel(omega1=omega1, lam=lam))
+
+
+def test_find_pole_stops_on_a_float_overflow():
+    # an iterate reaches Re z = -2e8, where g^2 = e^-z overflows, whether
+    # numpy's warnings are raised or ignored
+    model = FriedrichsModel(omega1=100.0, lam=1e50)
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(RuntimeError, match="pole search did not converge"):
+                find_pole(model)
+
+
+def _stand_in_alpha(first, off, calls):
+    """A stand-in for alpha: first at Re z = 1, MODEL's first iterate, and
+    +-off right and left of it; it records each z it is called at."""
+    def fake(z, sheet, model):
+        calls.append(z)
+        return complex(first if z.real == 1.0 else math.copysign(off, z.real - 1.0))
+    return fake
+
+
+def test_find_pole_stops_on_a_non_finite_difference_quotient(monkeypatch):
+    # the quotient 2e303 / 2e-6 overflows to inf, and its step 1/inf = 0
+    # must not pass for convergence
+    calls = []
+    monkeypatch.setattr(friedrichs, "alpha", _stand_in_alpha(1.0, 1e303, calls))
+    with pytest.raises(RuntimeError, match="pole search did not converge"):
+        find_pole(MODEL)
+    assert len(calls) == 3  # the first step's evaluations, no more
+
+
+def test_find_pole_stops_on_a_non_finite_iterate(monkeypatch):
+    # the quotient 1e-300 is finite, and the step 1e300 / 1e-300 overflows
+    calls = []
+    monkeypatch.setattr(friedrichs, "alpha", _stand_in_alpha(1e300, 1e-306, calls))
+    with pytest.raises(RuntimeError, match="pole search did not converge"):
+        find_pole(MODEL)
+    assert len(calls) == 3
+
+
 def test_spectral_density_normalized():
     _, psi, dw = spectral_density(MODEL, 20001)
     assert abs(psi.sum() * dw - 1.0) < 1e-6
@@ -292,20 +339,6 @@ def test_arrowhead_spectrum_matches_dense(lam, omega1, n):
     assert np.abs(weights - vec[0] ** 2)[sharp].max() <= 1e-12
     for i in np.flatnonzero(~sharp & (weights > 0)):
         assert abs(weights[i] - _decimal_weight(h, evals[i])) <= 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(n_a=st.integers(1, 40), n_b=st.integers(1, 40), complex_a=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_diff_factors_product_is_the_broadcast_difference(n_a, n_b, complex_a, seed):
-    # each entry is rounded once either way, so the two agree bit for bit
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(n_a) * 10.0 ** rng.uniform(-8, 8, n_a)
-    if complex_a:
-        a = a + 1j * rng.standard_normal(n_a) * 10.0 ** rng.uniform(-8, 8, n_a)
-    b = np.concatenate((a.real, rng.standard_normal(n_b) * 10.0 ** rng.uniform(-8, 8, n_b)))
-    left, right = _diff_factors(a, b)
-    assert np.array_equal(left[1:] @ right, a[1:, None] - b[None, :])
 
 
 @settings(max_examples=60, deadline=None)
@@ -401,16 +434,6 @@ def test_end_weights_integrate_polynomials_below_degree_8(n):
         assert abs(w @ x ** p * (p + 1) - 1.0) <= 1e-13
 
 
-def test_half_harmonic_sums_match_exact_partial_sums():
-    # every H(x) below 200, where the summed head meets the series, and 40
-    # more up to 10**5, against the partial sums of the rounded terms
-    terms = 1.0 / (np.arange(10 ** 5) + 0.5)
-    x = np.concatenate((np.arange(200), np.random.default_rng(3).integers(200, 10 ** 5, 40)))
-    exact = np.array([math.fsum(terms[:k]) for k in x])
-    got = friedrichs._half_harmonic(x)
-    assert np.all(np.abs(got - exact) <= 4.0 * np.finfo(float).eps * np.maximum(exact, 1.0))
-
-
 def _density_by_cut_rule(model, n_points):
     """psi as the 400-node Gauss-Legendre rule of alpha (_cut_integral) gives it."""
     wgrid = (np.arange(n_points) + 0.5) * (model.omega_max / n_points)
@@ -426,6 +449,17 @@ def test_density_matches_the_cut_rule(lam):
         ref_grid, ref = _density_by_cut_rule(model, n_points)
         assert np.array_equal(wgrid, ref_grid) and dw == model.omega_max / n_points
         assert np.abs(psi / ref - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("omega1", [0.7, 1.0, 4.0])
+def test_density_matches_its_closed_form(omega1):
+    # psi = lam^2 e^-w / |alpha(w + i0)|^2 for the default g, alpha from Ei
+    for lam in (0.05, 0.1, 0.15, 0.3):
+        model = FriedrichsModel(omega1=omega1, lam=lam)
+        for n_points in (2001, 40001):
+            wgrid, psi, _ = spectral_density(model, n_points)
+            exact = lam ** 2 * np.exp(-wgrid) / np.abs(_boundary_alpha_exact(wgrid, model)) ** 2
+            assert np.abs(psi / exact - 1.0).max() <= 1e-14
 
 
 def test_far_field_spectrum_matches_the_exact_sweeps(monkeypatch):

@@ -10,19 +10,24 @@ at z itself and stays accurate right up to the cut; it evaluates g at
 complex z, so a custom g must accept complex input.  The spectral density
 needs alpha only at the midpoints of a uniform grid: it takes the same
 subtraction there, and its two Cauchy sums over uniform nodes, of w_k
-g^2(u_k) and of w_k over x_j - u_k on a lattice, are Toeplitz products, two
-rows of one real FFT convolution (_toeplitz_cauchy).
+g^2(u_k) and of w_k over x_j - u_k on a lattice, are Toeplitz products, real
+FFT convolutions (_toeplitz_cauchy).  The sum of w_k and the kernel's
+spectrum depend on the grid alone, so they form a read-only plan, and the
+last plan is kept (_density_plan).
 
 The two survival routes share no numerics, only the check that the t grid
 is evenly spaced, which both need, and neither builds an O(N^2) or
 O(N*len(t)) array.  The oracle finds the exact spectrum of the N-mode
 discretization, an arrowhead matrix, from its secular equation by a
-safeguarded rational iteration (Gu & Eisenstat 1995) in O(N) memory.  On
-the uniform grid its sweeps take the poles far from a root from a series
-whose coefficients are Toeplitz products, one FFT convolution per solve
-(Dutt, Gu & Rokhlin 1996), so a sweep is O(N); only the last sweeps, which
-test convergence and give the weights, take the exact O(N^2) sums as
-banded BLAS matrix-vector products.  The oracle's phase table is factored
+safeguarded rational iteration (Gu & Eisenstat 1995) in O(N) memory, in
+units of the band's width.  On the uniform grid its sweeps take the poles
+far from a root from a series whose coefficients are Toeplitz products,
+one FFT convolution per solve (Dutt, Gu & Rokhlin 1996), so a sweep is
+O(N).  A root stops on these far sums, and takes its weight from them,
+where a bound on their error (_far_error; Higham 2002, ch. 24, for the
+FFT) shows that the stopping test on exact sums holds too; the few roots it
+cannot certify, and the two end roots, take the exact O(N) sums per root
+as banded BLAS matrix-vector products.  The oracle's phase table is factored
 over the time lattice, so cos and sin run O(sqrt(len(t))) times per
 eigenvalue, in O(N*sqrt(len(t))) memory.  The quadrature sums the spectral
 density on an evenly spaced omega grid; over the t grid that sum is one
@@ -119,6 +124,11 @@ _SECULAR_MAX_ITER = 64
 # |x/m| <= 1/18, which leave 18^-13 < 1e-16 of their sum
 _FAR_BAND = 8
 _FAR_TERMS = 13
+# an FFT convolution of length L rounds each output by at most
+# _FFT_ERR log2(L) eps of its two rows' 2-norms' product (_toeplitz_cauchy):
+# the normwise form of Higham 2002, sec. 24.1, with the constant the tests
+# hold it to; the far field's outputs measured below 0.16 of it
+_FFT_ERR = 2.0
 
 # elements in one (rows x columns) work array of the chunked sums: 512 KiB of
 # float64, small enough to stay in cache
@@ -321,19 +331,21 @@ def _toeplitz_cauchy(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """out[r, s, i] = sum_k values[s, k] kernel[r, i - k + M - 1], i < M, for
     every row r of kernel and s of values (leading axes of any shape), where
     values has M entries on its last axis and kernel holds the lags
-    1 - M..M - 1 on its: Toeplitz products, such as the Cauchy sums
+    1 - M..M - 1 on its, or (complex) their real FFT of length
+    _fft_size(2M - 1), which a caller that reuses a kernel keeps
+    (_density_plan): Toeplitz products, such as the Cauchy sums
     sum_k a_k/(x_i - u_k) on a uniform grid, as real FFT convolutions of
     5-smooth length (_fft_size), one pair of rows at a time.  Every output
     needs only lags inside the kernel, so the cyclic convolution of length
     2M - 1 aliases none of them.  The error is a few eps log2(M) of the two
     rows' 2-norms' product, which bounds every sum of |terms|, not a few eps
-    of each output's own sum."""
+    of each output's own sum (_FFT_ERR)."""
     m = values.shape[-1]
     size = _fft_size(2 * m - 1)
     spec = np.fft.rfft(values, size)
     out = np.empty(kernel.shape[:-1] + values.shape)
     for r in np.ndindex(kernel.shape[:-1]):
-        kernel_spec = np.fft.rfft(kernel[r], size)
+        kernel_spec = kernel[r] if np.iscomplexobj(kernel) else np.fft.rfft(kernel[r], size)
         for s in np.ndindex(values.shape[:-1]):
             out[r + s] = np.fft.irfft(spec[s] * kernel_spec, size)[m - 1:2 * m - 1]
     return out
@@ -357,30 +369,67 @@ def _far_field(z2: np.ndarray) -> np.ndarray:
     return field
 
 
+def _far_error(z2: np.ndarray):
+    """Bounds, in grid units (times dw and dw^2), on the error that the far
+    field's FFT (_toeplitz_cauchy) puts into the q and p sums of _far_sums,
+    both sides together.  Each S[p] is within _FFT_ERR log2(L) eps ||z2||
+    ||k_p|| of its sum, L the FFT length, where the kernel row k_p =
+    m^-(p+1), m > 8, has ||k_p||^2 <= int_8.5^inf m^-2(p+1) dm since
+    m^-2(p+1) is convex; Horner's rule takes S[p] times |x|^p <= 2^-p into
+    q and p S[p] times |x|^(p-1) into p.
+
+    _secular_roots adds the rounding.  On one side of q: the kernel's
+    entries, Horner's rule (gamma_(2p+1) on its term p, Higham 2002,
+    eq. 5.2) and the truncation round the far sum by under 1.5 eps of it
+    for |x/m| <= 1/18; each band term rounds by gamma_4, the offset x
+    included; and each of the 8 additions before the own pole's by u of a
+    partial sum, which the side's terms all having one sign keeps below the
+    rest: 6 eps of the side's sum of |q| over all poles but the own one,
+    taken as 7 eps.  The own pole's term (gamma_3), the last addition and
+    the division by dw add 2.5 eps of the side's sum, and forming G another
+    eps S, S the scale of the stopping test: 4 eps S in all.  For p the same
+    count, with the truncation's 14 18^-13 (3.1 eps), stays below 17 eps of
+    sum p.
+    """
+    n = z2.size
+    p = np.arange(_FAR_TERMS + 1)
+    k_norm = np.sqrt((_FAR_BAND + 0.5) ** -(2.0 * p + 1.0) / (2.0 * p + 1.0))
+    top = float(z2.max())  # ||z2|| without squaring z2 out of range
+    fft = _FFT_ERR * math.log2(_fft_size(2 * n - 1)) * _EPS * top * float(np.linalg.norm(z2 / top))
+    # both sides, each its own row of the FFT
+    return (2.0 * fft * float(k_norm[:-1] @ 0.5 ** p[:-1]),
+            2.0 * fft * float((p * k_norm)[1:] @ 0.5 ** p[:-1]))
+
+
 def _far_sums(field, z2, dw, pole, x, j):
     """_secular_sums on the poles d_i = d_0 + i dw, for the roots j at
     l = d_pole + x dw, |x| <= 1/2: the poles beyond the band from the far
     field (_far_field), by Horner's rule for 1/(m + x) = sum_p (-x)^p
     m^-(p+1) and its derivative, and the poles i = pole - m of the band
-    |m| <= _FAR_BAND one by one.  Every work array has one entry per root."""
-    q, p = np.zeros((2, x.size)), np.zeros((2, x.size))
-    for k in range(_FAR_TERMS, -1, -1):
-        s = field[k][:, pole]
-        if k < _FAR_TERMS:
-            q = q * -x + s
-        if k:
-            p = p * -x + k * s
+    |m| <= _FAR_BAND one by one, the own pole last (_far_error).  Every
+    work array has one entry per root."""
+    s = field[:, :, pole]
+    nx = -x
+    q = s[_FAR_TERMS - 1].copy()
+    for k in range(_FAR_TERMS - 2, -1, -1):
+        q *= nx
+        q += s[k]
+    p = _FAR_TERMS * s[_FAR_TERMS]
+    for k in range(_FAR_TERMS - 1, 0, -1):
+        p *= nx
+        p += k * s[k]
+    m = np.array(sorted(range(-_FAR_BAND, _FAR_BAND + 1), key=abs, reverse=True))
     padded = np.concatenate((np.zeros(_FAR_BAND), z2, np.zeros(_FAR_BAND)))
+    rec = 1.0 / (m[:, None] + x)
+    term = padded[pole + (_FAR_BAND - m)[:, None]] * rec
+    rec *= term
+    for k in range(m.size - 1):
+        side = int(m[k] < 0)  # the poles at m > 0 lie left
+        q[side] += term[k]
+        p[side] += rec[k]
     own = pole < j  # a root right of its own pole has that pole on its left
-    for m in range(-_FAR_BAND, _FAR_BAND + 1):
-        rec = 1.0 / (m + x)
-        term = padded[pole + (_FAR_BAND - m)] * rec
-        if m:
-            q[int(m < 0)] += term  # the poles at m > 0 lie left
-            p[int(m < 0)] += term * rec
-        else:
-            q += np.where((own, ~own), term, 0.0)
-            p += np.where((own, ~own), term * rec, 0.0)
+    q += np.where((own, ~own), term[-1], 0.0)
+    p += np.where((own, ~own), rec[-1], 0.0)
     return np.concatenate((q / dw, p / dw ** 2))
 
 
@@ -401,39 +450,65 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
     lies below w_0, one in each gap and one above w_{N-1}.  The eigenvector
     is (1, c_k/(l - w_k)), so the weight of root l is 1/F'(l).
 
+    The solve runs in band units: F(s l)/s is F(l) on (omega1, w, c)/s, so
+    with s = 2^floor(log2 W) it divides them by s, which is exact, and
+    multiplies the roots back; the weights do not change.  This keeps the
+    squared reciprocals of the sums in float range at any band width.  When
+    the couplings' norm exceeds W, s comes from that norm instead, so the
+    couplings stay O(1) as well.
     Couplings below LAPACK's deflation tolerance, 8 eps times the size of H,
     are dropped: such a mode is an eigenvector by itself, with eigenvalue w_k
     and weight 0.  This is what keeps roots that round onto their pole (tiny
-    g(omega)^2 at large omega) from dividing by l - w_k = 0.
-    Each remaining root is found by a safeguarded two-pole rational
-    iteration (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) and is
-    stored as an offset y from the pole it lies nearer to, so l - w_k keeps
-    full relative accuracy even where the root rounds onto the pole.
-
-    When the kept poles are one run of the uniform grid, an interior root
-    iterates on far-field sums (_far_field, _far_sums) in O(N) per sweep,
-    until it passes the stopping test on them or its step stops shrinking;
-    they are good to a few eps of the largest sums, which the test cannot
-    rely on, and they do not move its bracket.  Its last sweeps, the
-    stopping test and its weight then take the exact sums, O(N) per root
-    (_secular_sums), which are the only ones for the two end roots and for
-    poles that are not one run.  Memory is O(N), 2 (_FAR_TERMS + 1) N values
-    for the far field, plus one chunk of the sums.
+    g(omega)^2 at large omega) from dividing by l - w_k = 0.  The rest are
+    the roots of _secular_roots, with the far field (_far_field) when the
+    kept poles are one run of the uniform grid.
     """
     w, c = _mode_grid(model, n_modes)
-    a = float(model.omega1)
     c_norm = float(np.linalg.norm(c))
-    keep = np.abs(c) > 8.0 * _EPS * max(abs(a), float(w[-1]), c_norm)
-    d, z2 = w[keep], c[keep] ** 2
+    scale = math.ldexp(1.0, math.frexp(max(model.omega_max, c_norm))[1] - 1)
+    a, d, c, c_norm = float(model.omega1) / scale, w / scale, c / scale, c_norm / scale
+    keep = np.abs(c) > 8.0 * _EPS * max(abs(a), float(d[-1]), c_norm)
+    d, z2 = d[keep], c[keep] ** 2
     n = d.size
     if n == 0:
-        return np.append(w, a), np.append(np.zeros(w.size), 1.0)
+        return np.append(w, model.omega1), np.append(np.zeros(w.size), 1.0)
+    kept = np.flatnonzero(keep)
+    field = _far_field(z2) if kept[-1] - kept[0] == n - 1 else None
+    origin, sign, y, weights, _ = _secular_roots(a, d, z2, c_norm, field,
+                                                 model.omega_max / n_modes / scale)
+    return (np.concatenate((w[~keep], (origin + sign * y) * scale)),
+            np.concatenate((np.zeros(w.size - n), weights)))
 
+
+def _secular_roots(a, d, z2, c_norm, field, dw):
+    """The n + 1 roots of F(l) = l - a - sum_i z2_i/(l - d_i) for ascending
+    poles d (n >= 1), as offsets l = origin + sign*y from the pole each lies
+    nearer to, so l - d_i keeps full relative accuracy even where the root
+    rounds onto its pole; their weights 1/F'(l); and which roots stopped on
+    far sums.  c_norm^2 >= sum z2 bounds the end roots.  field is the far
+    field of poles d_i = d_0 + i dw (_far_field), or None.
+
+    Each root is found by a safeguarded two-pole rational iteration (Gu &
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  It stops when
+    |G| <= 8 eps (|o - a| + y + sum |q|), G = sign*F at its offset.  With a
+    field, an interior root iterates on far sums (_far_sums) in O(N) per
+    sweep.  It stops on them when a bound B on their error (_far_error)
+    gives |G| + B <= 8 eps (S - B), S the scale above, which implies the
+    test on exact sums; its weight comes from them when the same bound on
+    the p sums puts it within 1e-13 relative, and from one exact sweep
+    otherwise.  A root
+    whose far sums pass the test without that margin, or whose step on them
+    stops shrinking, goes on with the exact sums, O(N) per root
+    (_secular_sums), as do the two end roots always and every root without
+    a field.  Only exact sums move a root's bracket.  Memory is O(N),
+    2 (_FAR_TERMS + 1) N values for the field, plus one chunk of the sums.
+    """
     # Root j lies in (d[j-1], d[j]), with d[-1] = -inf and d[n] = +inf.
     # Interior roots: far pole = the other end of the gap.  End roots get a
     # bound from Weyl's inequality and a virtual far pole at twice that
     # bound.  Everything below works in the mirrored frame y = |l - origin|,
     # where the model G(y) = sign*F increases from -inf at the origin pole.
+    n = d.size
     j = np.arange(n + 1)
     gap = np.empty(n + 1)
     gap[1:n] = np.diff(d)
@@ -443,12 +518,14 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
     origin = np.where(j == 0, d[0], d[np.maximum(j - 1, 0)])
     y = 0.5 * gap
     lo, hi = np.zeros(n + 1), y.copy()
-    kept = np.flatnonzero(keep)
-    field = _far_field(z2) if kept[-1] - kept[0] == n - 1 else None
     exact = np.full(n + 1, field is None)
     exact[[0, n]] = True
+    if field is not None:
+        fft_q, fft_p = _far_error(z2)
+        fft_q, fft_p = fft_q / dw, fft_p / dw ** 2
     step = np.full(n + 1, np.inf)  # each root's last step on the far field
-    dw = model.omega_max / n_modes
+    far = np.zeros(n + 1, dtype=bool)  # stopped on far sums
+    redo = np.zeros(n + 1, dtype=bool)  # ... with its weight from an exact sweep
 
     def sweep(act):
         out = np.empty((4, act.size))
@@ -466,17 +543,25 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
     flip = (j > 0) & (j < n) & (f < 0)
     origin[flip], sign[flip] = d[j[flip]], -1.0
 
-    roots = np.empty(n + 1)
     root_wt = np.empty(n + 1)
     act = np.arange(n + 1)
     for _ in range(_SECULAR_MAX_ITER):
         o, s, ya, ex = origin[act], sign[act], y[act], exact[act]
         q_left, q_right, p_left, p_right = sums
         g = s * ((o - a) + s * ya - (q_left + q_right))
-        passed = (np.abs(g) <= 8.0 * _EPS * (np.abs(o - a) + ya + (q_left - q_right))) \
-            | (hi[act] - lo[act] <= 4.0 * _EPS * hi[act])
+        size = np.abs(o - a) + ya + (q_left - q_right)
+        passed = (np.abs(g) <= 8.0 * _EPS * size) | (hi[act] - lo[act] <= 4.0 * _EPS * hi[act])
         done = passed & ex
-        roots[act[done]] = o[done] + s[done] * ya[done]
+        if not ex.all():
+            # _far_error: the own pole's term is z2/y, the rest of sum |q| is
+            # summed before it
+            rest = (q_left - q_right) - z2[j[act] - (s > 0)] / ya
+            bound = fft_q + 7.0 * _EPS * np.maximum(rest, 0.0) + 4.0 * _EPS * size
+            stop = ~ex & (np.abs(g) + bound <= 8.0 * _EPS * (size - bound))
+            weight_err = fft_p + 17.0 * _EPS * (p_left + p_right)
+            far[act[stop]] = True
+            redo[act[stop]] = (weight_err > 9e-14 * (1.0 + p_left + p_right))[stop]
+            done |= stop
         root_wt[act[done]] = 1.0 / (1.0 + p_left[done] + p_right[done])
         keep_on = ~done
         act, g, ya, s, ex = act[keep_on], g[keep_on], ya[keep_on], s[keep_on], ex[keep_on]
@@ -490,14 +575,14 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
         # at ya; the poles on each side fold into that side's pole, and the
         # linear term of F into the far one.  Its root in (0, far) solves a
         # quadratic, taken in the form that does not cancel.
-        far = gap[act]
+        far_pole = gap[act]
         w_near = ya ** 2 * np.where(s > 0, p_left, p_right)
-        w_far = (far - ya) ** 2 * (1.0 + np.where(s > 0, p_right, p_left))
-        kappa = g + w_near / ya - w_far / (far - ya)
-        b = kappa * far + w_near + w_far
-        disc = np.sqrt(np.maximum(b * b - 4.0 * kappa * w_near * far, 0.0))
+        w_far = (far_pole - ya) ** 2 * (1.0 + np.where(s > 0, p_right, p_left))
+        kappa = g + w_near / ya - w_far / (far_pole - ya)
+        b = kappa * far_pole + w_near + w_far
+        disc = np.sqrt(np.maximum(b * b - 4.0 * kappa * w_near * far_pole, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_new = np.where(b > 0, 2.0 * w_near * far / (b + disc),
+            y_new = np.where(b > 0, 2.0 * w_near * far_pole / (b + disc),
                              (disc - b) / (-2.0 * kappa))
         inside = (y_new > lo[act]) & (y_new < hi[act])
         y_new = np.where(inside, y_new, 0.5 * (lo[act] + hi[act]))
@@ -507,8 +592,11 @@ def _solve_arrowhead(model: FriedrichsModel, n_modes: int):
         sums = sweep(act)
     else:
         raise RuntimeError("secular equation did not converge")
-    return (np.concatenate((w[~keep], roots)),
-            np.concatenate((np.zeros(w.size - n), root_wt)))
+    r = np.flatnonzero(redo)
+    if r.size:
+        p = _secular_sums(d, z2, origin[r], y[r], sign[r], j[r])
+        root_wt[r] = 1.0 / (1.0 + p[2] + p[3])
+    return origin, sign, y, root_wt, far
 
 
 def survival_amplitude_oracle(model: FriedrichsModel, t_grid,
@@ -564,32 +652,54 @@ def spectral_density(model: FriedrichsModel, n_points: int = N_POINTS):
     vanishes.  The rule is the trapezoid rule with 8-node Euler-Maclaurin end
     corrections (_end_weights).  Its sums over k of w_k g^2(u_k)/(omega_j -
     u_k) and of w_k/(omega_j - u_k) are Toeplitz products with the kernel
-    1/(m + 1/2), two rows of one FFT convolution (_toeplitz_cauchy).
+    1/(m + 1/2).  The second, the kernel's spectrum and the weights depend
+    on n_points alone: they form a read-only plan, built once per n_points,
+    of which the last is kept (_density_plan).  A model's density then
+    takes the first from one FFT convolution (_toeplitz_cauchy).
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
 
     def density():
+        r, mid, ends, kernel_spec, s_w = _density_plan(n_points)
         w_max = model.omega_max
         dw = w_max / n_points
         wgrid = (np.arange(n_points) + 0.5) * dw
-        r = -(-400 // n_points) | 1
         nodes = n_points * r + 1
-        i = np.arange((r - 1) // 2, nodes - 1, r)  # omega_j lies between nodes i and i + 1
-        delta = _end_weights()
-        wts = np.ones(nodes)
-        wts[:8] += delta
-        wts[-8:] += delta[::-1]
-        kernel = np.arange(1.5 - nodes, nodes)  # m + 1/2 at the lags m
-        np.reciprocal(kernel, out=kernel)
+        values = model.g2(np.arange(nodes) * (dw / r))
+        values[:8] *= ends
+        values[-8:] *= ends[::-1]
+        s_g2 = _toeplitz_cauchy(values, kernel_spec)[mid]
         g2w = model.g2(wgrid)
-        values = np.stack((wts * model.g2(np.arange(nodes) * (dw / r)), wts))
-        s_g2, s_w = _toeplitz_cauchy(values, kernel)[:, i]
         pv = (s_g2 - g2w * s_w) + g2w * (np.log(wgrid) - np.log(w_max - wgrid))
         alpha_cut = wgrid - model.omega1 - model.lam ** 2 * (pv - 1j * np.pi * g2w)
         return wgrid, model.lam ** 2 * g2w / np.abs(alpha_cut) ** 2, dw
 
     return _memoized(model, ("density", n_points), density)
+
+
+@lru_cache(maxsize=1)  # a run's densities share one n_points
+def _density_plan(n_points: int):
+    """The read-only part of spectral_density that depends on n_points
+    alone: the node spacing r, the slice mid of the nodes next below the
+    midpoints, the end weights 1 + delta_k (_end_weights), the real FFT of
+    the kernel 1/(m + 1/2) and s_w = sum_k w_k/(m + 1/2) at the midpoints.
+    A density then makes one forward FFT, one product and one inverse FFT
+    (_toeplitz_cauchy); the plan is about 1 MB at N_POINTS."""
+    r = -(-400 // n_points) | 1
+    nodes = n_points * r + 1
+    ends = 1.0 + _end_weights()
+    wts = np.ones(nodes)
+    wts[:8] = ends
+    wts[-8:] = ends[::-1]
+    kernel = np.arange(1.5 - nodes, nodes)  # m + 1/2 at the lags m
+    np.reciprocal(kernel, out=kernel)
+    kernel_spec = np.fft.rfft(kernel, _fft_size(2 * nodes - 1))
+    mid = slice((r - 1) // 2, nodes - 1, r)  # omega_j lies between nodes mid and mid + 1
+    s_w = _toeplitz_cauchy(wts, kernel_spec)[mid].copy()
+    for x in (ends, kernel_spec, s_w):
+        x.flags.writeable = False
+    return r, mid, ends, kernel_spec, s_w
 
 
 def _end_weights() -> np.ndarray:

@@ -243,6 +243,17 @@ def test_friedrichs_non_convergence_exit_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_friedrichs_tiny_band_exits_2_on_the_two_path_check(tmp_path, capsys):
+    # the solve runs in band units, but a 40001-point density cannot resolve
+    # a resonance width of 6e-160: the routes disagree, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["friedrichs", "--omega1", "1e-140", "--lambda", "1e-80", "--n-times", "3",
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["arrowlab: numerical invariant failed: two-path survival disagreement"]
+
+
 def test_friedrichs_uncoupled_level_does_not_decay(tmp_path):
     # lambda = 0 takes the closed form: no decay, and the pole is omega1 itself
     with warnings.catch_warnings():

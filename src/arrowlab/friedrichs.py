@@ -11,9 +11,9 @@ complex z, so a custom g must accept complex input.  The spectral density
 needs alpha only at the midpoints of a uniform grid: it takes the same
 subtraction there, and its two Cauchy sums over uniform nodes, of w_k
 g^2(u_k) and of w_k over x_j - u_k on a lattice, are Toeplitz products, real
-FFT convolutions (_toeplitz_cauchy).  The sum of w_k and the kernel's
-spectrum depend on the grid alone, so they form a read-only plan, and the
-last plan is kept (_density_plan).
+FFT convolutions with the kernel's spectrum (_toeplitz_cauchy).  The weights,
+their sum and the kernel's spectrum depend on the grid alone, so they form a
+read-only plan, and the last plan is kept (_density_plan).
 
 The two survival routes share no numerics, only the check that the t grid
 is evenly spaced, which both need, and neither builds an O(N^2) or
@@ -327,28 +327,20 @@ def _secular_sums(d, z2, origin, y, sign, j):
     return out
 
 
-def _toeplitz_cauchy(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """out[r, s, i] = sum_k values[s, k] kernel[r, i - k + M - 1], i < M, for
-    every row r of kernel and s of values (leading axes of any shape), where
-    values has M entries on its last axis and kernel holds the lags
-    1 - M..M - 1 on its, or (complex) their real FFT of length
-    _fft_size(2M - 1), which a caller that reuses a kernel keeps
-    (_density_plan): Toeplitz products, such as the Cauchy sums
-    sum_k a_k/(x_i - u_k) on a uniform grid, as real FFT convolutions of
-    5-smooth length (_fft_size), one pair of rows at a time.  Every output
-    needs only lags inside the kernel, so the cyclic convolution of length
-    2M - 1 aliases none of them.  The error is a few eps log2(M) of the two
-    rows' 2-norms' product, which bounds every sum of |terms|, not a few eps
-    of each output's own sum (_FFT_ERR)."""
+def _toeplitz_cauchy(values: np.ndarray, kernel_spec: np.ndarray) -> np.ndarray:
+    """out[..., i] = sum_k values[..., k] kernel[..., i - k + M - 1], i < M,
+    where values has M entries on its last axis and kernel_spec is the real
+    FFT of length _fft_size(2M - 1) of a kernel that holds the lags
+    1 - M..M - 1; the leading axes of the two broadcast.  These are Toeplitz
+    products, such as the Cauchy sums sum_k a_k/(x_i - u_k) on a uniform
+    grid, as real FFT convolutions of 5-smooth length (_fft_size).  Every
+    output needs only lags inside the kernel, so the cyclic convolution of
+    length 2M - 1 aliases none of them.  The error is a few eps log2(M) of
+    the two rows' 2-norms' product, which bounds every sum of |terms|, not a
+    few eps of each output's own sum (_FFT_ERR)."""
     m = values.shape[-1]
     size = _fft_size(2 * m - 1)
-    spec = np.fft.rfft(values, size)
-    out = np.empty(kernel.shape[:-1] + values.shape)
-    for r in np.ndindex(kernel.shape[:-1]):
-        kernel_spec = kernel[r] if np.iscomplexobj(kernel) else np.fft.rfft(kernel[r], size)
-        for s in np.ndindex(values.shape[:-1]):
-            out[r + s] = np.fft.irfft(spec[s] * kernel_spec, size)[m - 1:2 * m - 1]
-    return out
+    return np.fft.irfft(np.fft.rfft(values, size) * kernel_spec, size)[..., m - 1:2 * m - 1]
 
 
 def _far_field(z2: np.ndarray) -> np.ndarray:
@@ -364,7 +356,8 @@ def _far_field(z2: np.ndarray) -> np.ndarray:
     kernel[0, n + _FAR_BAND:] = inv
     for p in range(_FAR_TERMS):
         np.multiply(kernel[p, n + _FAR_BAND:], inv, out=kernel[p + 1, n + _FAR_BAND:])
-    field = _toeplitz_cauchy(np.stack((z2, z2[::-1])), kernel)
+    kernel_spec = np.fft.rfft(kernel, _fft_size(2 * n - 1))[:, None]
+    field = _toeplitz_cauchy(np.stack((z2, z2[::-1])), kernel_spec)
     field[:, 1] = field[:, 1, ::-1] * (-1.0) ** np.arange(1, _FAR_TERMS + 2)[:, None]
     return field
 
@@ -661,15 +654,11 @@ def spectral_density(model: FriedrichsModel, n_points: int = N_POINTS):
         raise ValueError("n_points must be at least 1")
 
     def density():
-        r, mid, ends, kernel_spec, s_w = _density_plan(n_points)
+        r, mid, wts, kernel_spec, s_w = _density_plan(n_points)
         w_max = model.omega_max
         dw = w_max / n_points
         wgrid = (np.arange(n_points) + 0.5) * dw
-        nodes = n_points * r + 1
-        values = model.g2(np.arange(nodes) * (dw / r))
-        values[:8] *= ends
-        values[-8:] *= ends[::-1]
-        s_g2 = _toeplitz_cauchy(values, kernel_spec)[mid]
+        s_g2 = _toeplitz_cauchy(wts * model.g2(np.arange(wts.size) * (dw / r)), kernel_spec)[mid]
         g2w = model.g2(wgrid)
         pv = (s_g2 - g2w * s_w) + g2w * (np.log(wgrid) - np.log(w_max - wgrid))
         alpha_cut = wgrid - model.omega1 - model.lam ** 2 * (pv - 1j * np.pi * g2w)
@@ -682,10 +671,11 @@ def spectral_density(model: FriedrichsModel, n_points: int = N_POINTS):
 def _density_plan(n_points: int):
     """The read-only part of spectral_density that depends on n_points
     alone: the node spacing r, the slice mid of the nodes next below the
-    midpoints, the end weights 1 + delta_k (_end_weights), the real FFT of
-    the kernel 1/(m + 1/2) and s_w = sum_k w_k/(m + 1/2) at the midpoints.
-    A density then makes one forward FFT, one product and one inverse FFT
-    (_toeplitz_cauchy); the plan is about 1 MB at N_POINTS."""
+    midpoints, the weights w_k, which are 1 + delta_k at the 8 nodes of
+    each end (_end_weights) and 1 elsewhere, the real FFT of the kernel
+    1/(m + 1/2) and s_w = sum_k w_k/(m + 1/2) at the midpoints.  A density
+    then makes one forward FFT, one product and one inverse FFT
+    (_toeplitz_cauchy); the plan is about 1.3 MB at N_POINTS."""
     r = -(-400 // n_points) | 1
     nodes = n_points * r + 1
     ends = 1.0 + _end_weights()
@@ -697,9 +687,9 @@ def _density_plan(n_points: int):
     kernel_spec = np.fft.rfft(kernel, _fft_size(2 * nodes - 1))
     mid = slice((r - 1) // 2, nodes - 1, r)  # omega_j lies between nodes mid and mid + 1
     s_w = _toeplitz_cauchy(wts, kernel_spec)[mid].copy()
-    for x in (ends, kernel_spec, s_w):
+    for x in (wts, kernel_spec, s_w):
         x.flags.writeable = False
-    return r, mid, ends, kernel_spec, s_w
+    return r, mid, wts, kernel_spec, s_w
 
 
 def _end_weights() -> np.ndarray:

@@ -79,8 +79,16 @@ class Poly:
         return Poly([a ** j * c for j, c in enumerate(out)])
 
     def as_floats(self) -> np.ndarray:
-        """The coefficients rounded to a float64 array, low order first."""
-        return np.array([float(c) for c in self.coeffs])
+        """The coefficients rounded to a float64 array, low order first.
+        ValueError, naming the first, when a coefficient is past float range."""
+        out = []
+        for k, c in enumerate(self.coeffs):
+            try:
+                out.append(float(c))
+            except OverflowError:
+                raise ValueError(f"the coefficient of x^{k} of a degree-{self.degree} "
+                                 "polynomial is past float range") from None
+        return np.array(out)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs

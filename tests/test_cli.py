@@ -285,6 +285,15 @@ def test_empty_sizes_name_the_problem(tmp_path, capsys, argv, problem):
     assert not out.exists()
 
 
+def test_basis_past_float_range_exits_1_with_one_line(tmp_path, capsys):
+    # B_259 has coefficients past float range; an OverflowError would escape main
+    out = tmp_path / "d"
+    assert run(["renyi-spectral", "--nmax", "259", "--t", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("arrowlab: error: the coefficient of x^1 of a "
+                                       "degree-259 polynomial is past float range\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [["cosmo-gap", "--omega1", "1e300"],
                                   ["cosmo-gap", "--gamma-t0", "1e-300"],
                                   ["cosmo-gap", "--t0-temp", "1e-300"],

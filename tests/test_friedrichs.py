@@ -413,7 +413,7 @@ def test_toeplitz_product_matches_the_direct_sum(m, rows, kernel, seed):
                       where=np.abs(lags) > 8)
     else:
         k = rng.standard_normal(lags.size)
-    got = _toeplitz_cauchy(values, k)
+    got = _toeplitz_cauchy(values, np.fft.rfft(k, friedrichs._fft_size(2 * m - 1)))
     assert got.shape == (rows, m)
     scale = 2.0 * max(np.log2(friedrichs._fft_size(2 * m - 1)), 1.0) * np.finfo(float).eps
     for row, out in zip(values, got):
@@ -464,7 +464,7 @@ def test_density_matches_its_closed_form(omega1):
 
 def _density_two_rows(model, n_points):
     """psi with both Cauchy sums, of w_k g^2(u_k) and of w_k, from one
-    two-row Toeplitz product, the kernel transformed in the call."""
+    two-row Toeplitz product, the kernel transformed here."""
     w_max = model.omega_max
     dw = w_max / n_points
     wgrid = (np.arange(n_points) + 0.5) * dw
@@ -478,7 +478,8 @@ def _density_two_rows(model, n_points):
     kernel = 1.0 / np.arange(1.5 - nodes, nodes)
     g2w = model.g2(wgrid)
     values = np.stack((wts * model.g2(np.arange(nodes) * (dw / r)), wts))
-    s_g2, s_w = _toeplitz_cauchy(values, kernel)[:, i]
+    kernel_spec = np.fft.rfft(kernel, friedrichs._fft_size(2 * nodes - 1))
+    s_g2, s_w = _toeplitz_cauchy(values, kernel_spec)[:, i]
     pv = (s_g2 - g2w * s_w) + g2w * (np.log(wgrid) - np.log(w_max - wgrid))
     alpha_cut = wgrid - model.omega1 - model.lam ** 2 * (pv - 1j * np.pi * g2w)
     return model.lam ** 2 * g2w / np.abs(alpha_cut) ** 2
@@ -556,6 +557,40 @@ def test_far_field_sums_match_the_exact_sums(n, seed):
     q_abs, p_sum = exact[0] - exact[1], exact[2] + exact[3]
     for got, want, scale in zip(far, exact, (q_abs, q_abs, p_sum, p_sum)):
         assert np.abs(got - want).max() <= 32.0 * np.finfo(float).eps * scale.max()
+
+
+def _toeplitz_by_rows(values, kernel):
+    """The Toeplitz product one pair of rows at a time, each kernel row
+    transformed alone: the loop _toeplitz_cauchy broadcasts."""
+    m = values.shape[-1]
+    size = friedrichs._fft_size(2 * m - 1)
+    spec = np.fft.rfft(values, size)
+    out = np.empty(kernel.shape[:-1] + values.shape)
+    for r in np.ndindex(kernel.shape[:-1]):
+        kernel_spec = np.fft.rfft(kernel[r], size)
+        for s in np.ndindex(values.shape[:-1]):
+            out[r + s] = np.fft.irfft(spec[s] * kernel_spec, size)[m - 1:2 * m - 1]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4000), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2, seed=0)
+def test_far_field_broadcast_matches_the_row_loop(n, seed):
+    # the kernel rows m^-(p+1), m > _FAR_BAND, transformed in one batch and
+    # broadcast over both value rows give the row-by-row field bit for bit
+    rng = np.random.default_rng(seed)
+    z2 = 10.0 ** rng.uniform(-8, 0, n)
+    terms = friedrichs._FAR_TERMS + 1
+    kernel = np.zeros((terms, 2 * n - 1))
+    inv = 1.0 / np.arange(friedrichs._FAR_BAND + 1, n)
+    row = inv
+    for p in range(terms):
+        kernel[p, n + friedrichs._FAR_BAND:] = row
+        row = row * inv
+    field = _toeplitz_by_rows(np.stack((z2, z2[::-1])), kernel)
+    field[:, 1] = field[:, 1, ::-1] * (-1.0) ** np.arange(1, terms + 1)[:, None]
+    assert np.array_equal(friedrichs._far_field(z2), field)
 
 
 def test_split_pole_runs_take_the_exact_sweeps(monkeypatch):

@@ -56,6 +56,13 @@ def test_poly_coefficients_stay_exact():
     assert cs.tolist() == [0.0, 0.5, -1.5, 1.0]
 
 
+def test_as_floats_names_a_coefficient_past_float_range():
+    # B_258 is the last Bernoulli polynomial whose coefficients all fit a float64
+    assert np.all(np.isfinite(bernoulli_poly(258).as_floats()))
+    with pytest.raises(ValueError, match=r"coefficient of x\^1 of a degree-259 polynomial"):
+        bernoulli_poly(259).as_floats()
+
+
 def test_float_evaluation_is_horner():
     # basis_table and sample_poly evaluate as_floats() with the Horner loop
     xs = np.linspace(0.0, 1.0, 101)

@@ -161,15 +161,6 @@ def _memoized(model: FriedrichsModel, key, compute):
     return out
 
 
-def _diff_factors(a: np.ndarray, b: np.ndarray, shift: np.ndarray):
-    """Factors L = (a, 1, shift), R = (1, -b, 1) of _secular_sums' exact sweep:
-    L[rows] @ R is (a[rows, None] - b[None, :]) + shift[rows, None] bit for
-    bit (the tests check it), as each product is exact and OpenBLAS sums them
-    in column order, and about three times faster than the broadcast ufuncs."""
-    return (np.column_stack((a, np.ones_like(a), shift)),
-            np.stack((np.ones_like(b), -b, np.ones_like(b))))
-
-
 def _cut_integral(z: np.ndarray, model: FriedrichsModel) -> np.ndarray:
     """integral_0^W g^2(u)/(z-u) du at each point of a 1D array z.
 
@@ -277,10 +268,11 @@ def _mode_grid(model: FriedrichsModel, n_modes: int):
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     dw = model.omega_max / n_modes
-    # the secular solve squares 1/(l - w_k); with the couplings dominant the
-    # roots at the band's ends sit dw/H_N from their poles, H_N < ln N + 1 the
-    # harmonic number, and its trial roots came up to twice as near (measured
-    # for N up to 20000)
+    # measured for a solve in absolute units, whose end roots sat dw/H_N from
+    # their poles (H_N < ln N + 1); the solve now runs in band units, but the
+    # bound stays: without it omega1 = 1e-200 at lam = 1e-90 divides by an
+    # |alpha|^2 that underflows to 0 in spectral_density, and omega1 = 1e-152
+    # to 1e-170 at lam = 0.1 only reach a failed two-path check
     if dw < 4.0 * (math.log(n_modes) + 1.0) / _SQRT_MAX:
         raise ValueError("omega1 is too small for n_modes: the grid step 20 omega1 / n_modes "
                          "must be at least 4 (ln n_modes + 1) / sqrt(float max)")
@@ -310,12 +302,13 @@ def _secular_sums(d, z2, origin, y, sign, j):
     another chunking can change a sum in its last bit.
     """
     out = np.empty((4, y.size))
-    diff_l, diff_r = _diff_factors(origin, d, sign * y)
+    shift = sign * y
     rows = _rows(d.size)
     for s in range(0, y.size, rows):
         r = slice(s, s + rows)
         lo, hi = j[r][0], j[r][-1]
-        rec = diff_l[r] @ diff_r
+        rec = origin[r, None] - d
+        rec += shift[r, None]
         np.reciprocal(rec, out=rec)
         left = np.arange(lo, hi) < j[r, None]
         for k in (0, 2):  # q = z2 rec, then p = z2 rec^2

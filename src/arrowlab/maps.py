@@ -120,6 +120,10 @@ def recurrence_stats(spec: MapSpec, cells, level: int, n_samples: int,
     x then y) per sample still missing, so the stream and its order are those
     of one draw per point and a block never overshoots `n_samples`.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if max_t < 0:
+        raise ValueError("max_t must be >= 0")
     cells = np.asarray(cells, dtype=bool)
     if not cells.any():
         raise ValueError("recurrence set is empty")
@@ -148,5 +152,5 @@ def recurrence_stats(spec: MapSpec, cells, level: int, n_samples: int,
     return {
         "n_samples": total,
         "seed": seed,
-        "return_fraction": returned / total if total else returned,
+        "return_fraction": returned / total,
     }

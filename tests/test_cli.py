@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,9 +12,30 @@ import pytest
 from arrowlab import cli
 from arrowlab.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run(argv):
     return main(argv)
+
+
+def python(*args, **kwargs):
+    """`python args` in a child process that imports arrowlab from this checkout."""
+    env = {**os.environ,
+           "PYTHONPATH": str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          **kwargs)
+
+
+def run_module(argv, **kwargs):
+    """The `arrowlab` entry point in a child process, RuntimeWarnings as errors."""
+    return python("-W", "error::RuntimeWarning", "-m", "arrowlab.cli", *argv, **kwargs)
+
+
+def readme_runs():
+    """The argv of each line of README's CLI-examples block."""
+    block = (ROOT / "README.md").read_text().split("## CLI examples")[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()[1:]]
 
 
 def test_usage_error_exit_code(capsys):
@@ -23,14 +45,57 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_import_is_light():
-    # the CLI needs numpy and the standard library only
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = ("import sys, arrowlab.cli; "
-            "print(sorted({'sympy', 'scipy'} & {m.split('.')[0] for m in sys.modules}))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    # the CLI needs numpy and the standard library only, and its import builds
+    # no Friedrichs rule or plan and loads no thread pool
+    code = ("import sys, arrowlab.cli; from arrowlab import friedrichs as f; "
+            "print(sorted({'sympy', 'scipy'} & {m.split('.')[0] for m in sys.modules}), "
+            "'concurrent.futures' in sys.modules, "
+            "[c.cache_info().currsize for c in (f._gauss_legendre, f._chirp_plan, "
+            "f._density_plan)])")
+    assert python("-c", code, check=True).stdout.strip() == "[] False [0, 0, 0]"
+
+
+@pytest.mark.parametrize("argv", [
+    *readme_runs(),
+    # the oracle's 1 x 1 and 45 x 45 time lattices
+    ["friedrichs", "--n-times", "1", "--out", "out/"],
+    ["friedrichs", "--n-times", "2001", "--t-max", "200", "--out", "out/"],
+    # the top couplings deflate
+    ["friedrichs", "--lambda", "0.3", "--omega1", "4", "--t-max", "20", "--out", "out/"],
+    # a Voigt suite over several trial blocks
+    ["entropy-suite", "--n", "8", "--trials", "20000", "--out", "out/"],
+    # a base-3 Bernoulli basis under the Gram gate
+    ["renyi-spectral", "--beta", "3", "--nmax", "12", "--t", "7", "--out", "out/"],
+], ids=" ".join)
+def test_runs_exit_0_without_warning(tmp_path, argv):
+    argv = [str(tmp_path) if a == "out/" else a for a in argv]
+    if argv[0] == "boost":  # one run through the module's entry point
+        proc = run_module(argv)
+        assert proc.returncode == 0 and json.loads(proc.stdout)["u"] == 0.6
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(argv) == 0
+
+
+@pytest.mark.parametrize("argv, code", [(["baker-evolve", "--level", "2", "--t", "60"], 0),
+                                        (["renyi-evolve", "--level", "40"], 1),
+                                        (["mixing-report", "--level", "30"], 1)])
+def test_runs_in_2_gb_of_address_space(tmp_path, argv, code):
+    # a t = 60 baker run holds 2**62 nominal cells; Renyi and mixing levels
+    # past the cap exit 1 with one line
+    resource = pytest.importorskip("resource")
+    cap = 2_000_000 * 1024
+
+    def limit():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = run_module([*argv, "--out", str(tmp_path)], preexec_fn=limit)
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr.startswith("arrowlab: error: ") and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == "" and proc.stdout.startswith("wrote ")
 
 
 def test_verify_suites_pass(capsys):
@@ -243,13 +308,16 @@ def test_friedrichs_non_convergence_exit_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_friedrichs_tiny_band_exits_2_on_the_two_path_check(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [["--omega1", "1e-140", "--lambda", "1e-80"],
+                                   # the smallest band the grid-step bound admits
+                                   ["--omega1", "1.6e-155", "--n-modes", "1", "--lambda", "0.1"]])
+def test_friedrichs_tiny_band_exits_2_on_the_two_path_check(tmp_path, capsys, flags):
     # the solve runs in band units, but a 40001-point density cannot resolve
-    # a resonance width of 6e-160: the routes disagree, with no warning
+    # such a resonance width (6e-160 at omega1 = 1e-140): the routes
+    # disagree, with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run(["friedrichs", "--omega1", "1e-140", "--lambda", "1e-80", "--n-times", "3",
-                    "--out", str(tmp_path)]) == 2
+        assert run(["friedrichs", *flags, "--n-times", "3", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["arrowlab: numerical invariant failed: two-path survival disagreement"]
 
@@ -326,7 +394,7 @@ def test_friedrichs_parameters_past_float_range_exit_1_without_warning(tmp_path,
     out = tmp_path / "d"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run(["friedrichs", *flags, "--n-times", "3", "--out", str(out)]) == 1
+        assert run(["friedrichs", *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("arrowlab: error: ")
     assert not out.exists()

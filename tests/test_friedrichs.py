@@ -14,7 +14,7 @@ from scipy.special import expi
 
 from arrowlab import friedrichs
 from arrowlab.friedrichs import (N_POINTS, FriedrichsModel, _arrowhead_spectrum,
-                                 _cut_integral, _diff_factors, _end_weights,
+                                 _cut_integral, _end_weights,
                                  _gauss_legendre, _secular_sums, _solve_arrowhead,
                                  _toeplitz_cauchy,
                                  alpha, boundary_alpha, damping_matrix,
@@ -339,19 +339,6 @@ def test_arrowhead_spectrum_matches_dense(lam, omega1, n):
     assert np.abs(weights - vec[0] ** 2)[sharp].max() <= 1e-12
     for i in np.flatnonzero(~sharp & (weights > 0)):
         assert abs(weights[i] - _decimal_weight(h, evals[i])) <= 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(n_a=st.integers(1, 40), n_b=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
-def test_diff_factors_shift_column_is_the_broadcast_sum(n_a, n_b, seed):
-    # the third column adds the row shift after the difference is rounded,
-    # as (a - b) + c does, so the two agree bit for bit
-    rng = np.random.default_rng(seed)
-    a, c = (rng.standard_normal(n_a) * 10.0 ** rng.uniform(-8, 8, n_a) for _ in range(2))
-    b = np.concatenate((a, rng.standard_normal(n_b) * 10.0 ** rng.uniform(-8, 8, n_b)))
-    left, right = _diff_factors(a, b, c)
-    assert np.array_equal(left @ right, (a[:, None] - b[None, :]) + c[:, None])
-    assert np.array_equal(left[1:] @ right, (a[1:, None] - b[None, :]) + c[1:, None])
 
 
 def _secular_sums_masked(d, z2, origin, y, sign, j):

@@ -102,6 +102,16 @@ def test_recurrence_rejects_cells_off_the_level_grid(kind, cells, level):
         recurrence_stats(MapSpec(kind, 2), np.array(cells), level, n_samples=5, max_t=3)
 
 
+def test_recurrence_rejects_no_samples():
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        recurrence_stats(MapSpec("renyi", 2), np.array([True, False]), 1, n_samples=0, max_t=3)
+
+
+def test_recurrence_rejects_a_negative_horizon():
+    with pytest.raises(ValueError, match="max_t must be >= 0"):
+        recurrence_stats(MapSpec("renyi", 2), np.array([True, False]), 1, n_samples=5, max_t=-1)
+
+
 def test_recurrence_baker_left_half_one_step():
     # the left half-square maps onto the bottom half; only the left-bottom
     # quarter of it is back inside after one step

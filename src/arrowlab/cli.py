@@ -134,8 +134,8 @@ def cmd_mixing_report(args, rng):
 def cmd_entropy_suite(args, rng):
     m = rng.random((args.n, args.n)) + 0.05
     m /= m.sum(axis=0)
-    res = entropy.voigt_monotonicity_suite(grids.StochasticKernel(m),
-                                           trials=args.trials, seed=args.seed)
+    res = entropy.voigt_monotonicity_suite(grids.StochasticKernel(m), trials=args.trials,
+                                           seed=int(rng.integers(1 << 31)))
     report = {"theorem": "conditional-entropy monotonicity",
               "trials": res["trials"],
               "worst_violation": res["worst_violation"],
@@ -341,8 +341,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--tmax", type=_finite, default=200.0)
 
     sp = command("friedrichs", cmd_friedrichs)
-    sp.add_argument("--omega1", type=_finite, default=1.0)
-    sp.add_argument("--lambda", dest="lam", type=_finite, default=0.1)
+    sp.add_argument("--omega1", type=_finite, default=friedrichs.FriedrichsModel.omega1)
+    sp.add_argument("--lambda", dest="lam", type=_finite, default=friedrichs.FriedrichsModel.lam)
     sp.add_argument("--n-modes", type=int, default=friedrichs.N_MODES)
     sp.add_argument("--t-max", type=_finite, default=400.0)
     sp.add_argument("--n-times", type=int, default=201)
@@ -352,9 +352,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--t-max", type=_finite, default=50.0)
 
     sp = command("cosmo-gap", cmd_cosmo_gap)
-    sp.add_argument("--omega1", type=_finite, default=1.5)
-    sp.add_argument("--t0-temp", type=_finite, default=1.0)
-    sp.add_argument("--gamma-t0", type=_finite, default=0.1)
+    sp.add_argument("--omega1", type=_finite, default=cosmo.CosmoParams.omega1)
+    sp.add_argument("--t0-temp", type=_finite, default=cosmo.CosmoParams.temp0)
+    sp.add_argument("--gamma-t0", type=_finite, default=cosmo.CosmoParams.gamma)
 
     sp = command("boost", cmd_boost, out="optional")
     sp.add_argument("--u", type=_finite, required=True)

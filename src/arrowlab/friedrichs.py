@@ -198,32 +198,31 @@ def _cut_integral(z: np.ndarray, model: FriedrichsModel) -> np.ndarray:
     return smooth + g2z * (np.log(zc) - np.log(zc - w_max))
 
 
-def alpha(z: complex, sheet: str, model: FriedrichsModel) -> complex:
-    """alpha(z) = z - omega1 - lam^2 int g^2/(z-u) du; second sheet continues
-    through the cut from above: alpha_II = alpha + 2 pi i lam^2 g^2(z).  On
-    the cut the second sheet takes its limit from below, alpha(z + i0)."""
-    z = complex(z)
+def alpha(z, sheet: str, model: FriedrichsModel):
+    """alpha(z) = z - omega1 - lam^2 int g^2/(z-u) du; the second sheet
+    continues it through the cut from above: alpha_II = alpha + 2 pi i lam^2
+    g^2(z).  On the open cut (0, W) the second sheet takes its limit from
+    below, alpha(omega + i0), whose smooth part runs in real arithmetic
+    (_cut_integral).  A complex for a scalar z, an array of z's shape for an
+    array.  ValueError for a first-sheet z on [0, W], a second-sheet z at 0
+    or W, or an unknown sheet."""
     if sheet not in ("first", "second"):
         raise ValueError("sheet must be 'first' or 'second'")
-    if z.imag == 0.0 and 0 <= z.real <= model.omega_max:
-        if sheet == "first":
-            raise ValueError("z lies on the cut; use boundary_alpha")
-        return boundary_alpha(z.real, model)
-    base = complex(z - model.omega1 - model.lam ** 2 * _cut_integral(np.array([z]), model)[0])
-    if sheet == "first":
-        return base
-    return base + 2j * np.pi * model.lam ** 2 * complex(model.g2(z))
-
-
-def boundary_alpha(omega, model: FriedrichsModel):
-    """alpha(omega + i0) on the cut, by the rule `alpha` uses off it; a
-    complex for a scalar omega, an array of omega's shape for an array.
-    ValueError unless every omega lies inside the cut (0, W)."""
-    w = np.asarray(omega, dtype=float).ravel()
-    if not np.all((w > 0) & (w < model.omega_max)):
-        raise ValueError("omega must lie inside the cut")
-    out = w - model.omega1 - model.lam ** 2 * _cut_integral(w, model)
-    return complex(out[0]) if np.ndim(omega) == 0 else out.reshape(np.shape(omega))
+    zf = np.asarray(z, dtype=complex).ravel()
+    cut = (zf.imag == 0) & (zf.real >= 0) & (zf.real <= model.omega_max)
+    w = zf.real[cut]
+    if w.size and (sheet == "first" or not np.all((w > 0) & (w < model.omega_max))):
+        raise ValueError("z lies on the cut: the first sheet has no value there, "
+                         "and the second only inside (0, W)")
+    out = np.empty(zf.size, dtype=complex)
+    if w.size:
+        out[cut] = w - model.omega1 - model.lam ** 2 * _cut_integral(w, model)
+    if w.size < zf.size:
+        off = zf[~cut]
+        out[~cut] = off - model.omega1 - model.lam ** 2 * _cut_integral(off, model)
+        if sheet == "second":
+            out[~cut] += 2j * np.pi * model.lam ** 2 * model.g2(off)
+    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def find_pole(model: FriedrichsModel) -> ResonancePole:

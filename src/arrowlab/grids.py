@@ -7,7 +7,7 @@ this module reads; measures multiply by cell volume.  2D grids may be
 anisotropic because the baker trades x- for y-resolution one level per step.
 
 Two grids of one base are nested axis by axis, so the one linear pairing
-integral(u*g) (`pairing`) is taken on the coarser size of each axis: the
+integral(u*g) (`weak_pairing`) is taken on the coarser size of each axis: the
 finer operand is block-averaged there, which is exact because the other
 factor is constant on every block.  Arrays are replicated onto the common
 refinement (`on_common_grid`) only where a value per fine cell is needed:
@@ -239,7 +239,7 @@ def on_common_grid(a: np.ndarray, b: np.ndarray):
 
     Only for what needs a value per fine cell: a nonlinear functional of
     both arrays, a cell-by-cell set check, or a result that lives on the
-    finer grid.  Linear pairings use `pairing`, which allocates nothing
+    finer grid.  Linear pairings use `weak_pairing`, which allocates nothing
     of the fine grid's size.
     """
     _nested(a.shape, b.shape)
@@ -247,32 +247,29 @@ def on_common_grid(a: np.ndarray, b: np.ndarray):
     return _refine_to(a, shape), _refine_to(b, shape)
 
 
-def pairing(u: _BetaGrid, g: np.ndarray) -> float:
-    """Integral of u*g for a density or set `u` and cell values `g` on a nested grid.
-
-    Both are block-averaged onto the coarser size of each axis, where the mean
-    of the product is the integral: on each axis one factor is constant over
-    the other's blocks, and 2D blocks are products of per-axis blocks.
-    """
-    uv = u._on_coarser(g.shape)
-    return float((uv * _reduce_to(g, uv.shape)).mean())
-
-
 def l1_norm(d: Density) -> float:
     """Integral of |density| over the space."""
     return d.cell_mean(np.abs)
 
 
-def measure_of_set(d: Density, a: GridSet) -> float:
-    """Probability mass the density assigns to the set."""
-    if d.base != a.base:
-        raise GridMismatchError("base mismatch")
-    return pairing(d, a.member)
+def weak_pairing(u: _BetaGrid, g) -> float:
+    """The one linear pairing (u, g) = integral of u*g, for a density or set
+    `u` and `g` given as cell values on a nested grid or as a `GridSet` of
+    u's base (the measure u assigns to that set).
 
-
-def weak_pairing(d: Density, g) -> float:
-    """(rho, g) = integral of rho*g; g given as cell values on a nested grid."""
-    return pairing(d, np.asarray(g, dtype=float))
+    Both are block-averaged onto the coarser size of each axis, where the mean
+    of the product is the integral: on each axis one factor is constant over
+    the other's blocks, and 2D blocks are products of per-axis blocks.  A set
+    is averaged as its mask, to the fraction of each block it covers.
+    """
+    if isinstance(g, GridSet):
+        if g.base != u.base:
+            raise GridMismatchError("base mismatch")
+        g = g.member
+    else:
+        g = np.asarray(g, dtype=float)
+    uv = u._on_coarser(g.shape)
+    return float((uv * _reduce_to(g, uv.shape)).mean())
 
 
 @dataclass(frozen=True, eq=False)

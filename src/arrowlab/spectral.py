@@ -20,7 +20,6 @@ from math import comb, factorial, lcm
 from numbers import Rational
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .table import to_csv
 
@@ -198,7 +197,8 @@ def sample_poly(p: Poly, base: int, level: int) -> np.ndarray:
     out = np.zeros(n)
     q = p
     for j in range(0, p.degree + 1, 2):
-        out += polyval(mid, q.scaled(Fraction(1, (2 * n) ** j * factorial(j + 1))).as_floats())
+        c = q.scaled(Fraction(1, (2 * n) ** j * factorial(j + 1))).as_floats()
+        out += np.polyval(c[::-1], mid)
         q = q.derivative().derivative()
     return out
 
@@ -206,5 +206,5 @@ def sample_poly(p: Poly, base: int, level: int) -> np.ndarray:
 def basis_table(n_max: int) -> str:
     """CSV: x plus B_0..B_n sampled on `_TABLE_POINTS` evenly spaced x in [0, 1]."""
     xs = np.linspace(0.0, 1.0, _TABLE_POINTS)
-    cols = [xs] + [polyval(xs, b.as_floats()) for b in _bernoulli_polys(n_max)]
+    cols = [xs] + [np.polyval(b.as_floats()[::-1], xs) for b in _bernoulli_polys(n_max)]
     return to_csv("x," + ",".join(f"B{n}" for n in range(n_max + 1)), zip(*cols))

@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grids import Density, GridSet, GridMismatchError, pairing, weak_pairing
+from .grids import Density, GridSet, GridMismatchError, weak_pairing
 from .grids import on_common_grid  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .maps import MapSpec, trajectory
 
@@ -129,7 +129,7 @@ def correlation(a: GridSet, b_set: GridSet, spec: MapSpec, t: int) -> float:
     _check_base(spec, a)
     _check_base(spec, b_set)
     pre = next(islice(trajectory(partial(preimage_set, spec), b_set, t), t, None))
-    return pairing(a, pre.member) - a.volume() * b_set.volume()
+    return weak_pairing(a, pre) - a.volume() * b_set.volume()
 
 
 # ---------------------------------------------------------------------------

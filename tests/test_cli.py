@@ -46,13 +46,13 @@ def test_usage_error_exit_code(capsys):
 
 def test_import_is_light():
     # the CLI needs numpy and the standard library only, and its import builds
-    # no Friedrichs rule or plan and loads no thread pool
+    # no Friedrichs rule or plan and loads no thread pool or numpy.polynomial
     code = ("import sys, arrowlab.cli; from arrowlab import friedrichs as f; "
             "print(sorted({'sympy', 'scipy'} & {m.split('.')[0] for m in sys.modules}), "
-            "'concurrent.futures' in sys.modules, "
+            "'concurrent.futures' in sys.modules, 'numpy.polynomial' in sys.modules, "
             "[c.cache_info().currsize for c in (f._gauss_legendre, f._chirp_plan, "
             "f._density_plan)])")
-    assert python("-c", code, check=True).stdout.strip() == "[] False [0, 0, 0]"
+    assert python("-c", code, check=True).stdout.strip() == "[] False False [0, 0, 0]"
 
 
 @pytest.mark.parametrize("argv", [
@@ -96,6 +96,23 @@ def test_runs_in_2_gb_of_address_space(tmp_path, argv, code):
         assert proc.stderr.startswith("arrowlab: error: ") and proc.stderr.count("\n") == 1
     else:
         assert proc.stderr == "" and proc.stdout.startswith("wrote ")
+
+
+def test_entropy_suite_trials_do_not_replay_the_kernel_draws(tmp_path, monkeypatch):
+    # the kernel takes the first n^2 draws of the run's generator; the trials'
+    # pairs (rho, sigma) come from a stream of their own
+    seeds = []
+    suite = cli.entropy.voigt_monotonicity_suite
+
+    def recorded(kernel, trials, seed):
+        seeds.append(seed)
+        return suite(kernel, trials=trials, seed=seed)
+
+    monkeypatch.setattr(cli.entropy, "voigt_monotonicity_suite", recorded)
+    assert run(["entropy-suite", "--seed", "3", "--trials", "5", "--out", str(tmp_path)]) == 0
+    kernel_draws = np.random.default_rng(3).random(64)
+    trial_draws = np.random.default_rng(seeds[0]).random(16)
+    assert not np.isin(trial_draws, kernel_draws).any()
 
 
 def test_verify_suites_pass(capsys):

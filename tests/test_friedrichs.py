@@ -17,7 +17,7 @@ from arrowlab.friedrichs import (N_POINTS, FriedrichsModel, _arrowhead_spectrum,
                                  _cut_integral, _end_weights,
                                  _gauss_legendre, _secular_sums, _solve_arrowhead,
                                  _toeplitz_cauchy,
-                                 alpha, boundary_alpha, damping_matrix,
+                                 alpha, damping_matrix,
                                  discretize, find_pole, lambda_lyapunov,
                                  mixed_state_decay, pole_approximation,
                                  pole_to_json, recurrence_time,
@@ -141,10 +141,10 @@ def test_alpha_second_sheet_on_cut_is_limit_from_below(x):
     # alpha_II continues alpha_I from above, so alpha_II(x - i0) = alpha_I(x + i0)
     on_cut = alpha(x, "second", MODEL)
     assert abs(on_cut - alpha(x - 1e-12j, "second", MODEL)) < 1e-10
-    assert on_cut == boundary_alpha(x, MODEL)
+    assert on_cut == alpha(np.array([x, x + 1j]), "second", MODEL)[0]
 
 
-def _boundary_alpha_exact(w, model):
+def _cut_alpha_exact(w, model):
     """alpha(w + i0) for the default g, from PV int e^-u/(w-u) = e^-w (Ei(w) - Ei(w-W))."""
     pv = np.exp(-w) * (expi(w) - expi(w - model.omega_max))
     return w - model.omega1 - model.lam ** 2 * (pv - 1j * np.pi * np.exp(-w))
@@ -159,12 +159,12 @@ def test_cut_rule_on_and_next_to_its_own_nodes():
         warnings.simplefilter("error", RuntimeWarning)
         for w in (nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf)[1:],
                   nodes + 1e-9, nodes[1:] - 1e-6):
-            got = boundary_alpha(w, MODEL)
-            assert np.abs(got - _boundary_alpha_exact(w, MODEL)).max() < 1e-12
-        one = boundary_alpha(nodes[100], MODEL)
+            got = alpha(w, "second", MODEL)
+            assert np.abs(got - _cut_alpha_exact(w, MODEL)).max() < 1e-12
+        one = alpha(nodes[100], "second", MODEL)
         pv = _cut_integral(np.array([nodes[100]]), MODEL)[0].real
-    assert one == boundary_alpha(nodes, MODEL)[100]
-    assert abs(one - boundary_alpha(np.nextafter(nodes[100], np.inf), MODEL)) < 1e-12
+    assert one == alpha(nodes, "second", MODEL)[100]
+    assert abs(one - alpha(np.nextafter(nodes[100], np.inf), "second", MODEL)) < 1e-12
     exact = np.exp(-nodes[100]) * (expi(nodes[100]) - expi(nodes[100] - MODEL.omega_max))
     assert abs(pv - exact) < 1e-12
 
@@ -174,20 +174,38 @@ def test_alpha_rejects_cut_points():
         alpha(1.0, "first", MODEL)
     with pytest.raises(ValueError):
         alpha(1.0 + 0.1j, "third", MODEL)
+    # the first sheet has no value on [0, W], the second none at its ends,
+    # also as one point of an array
+    for sheet, x in (("first", 0.0), ("first", 5.0), ("second", 0.0),
+                     ("second", MODEL.omega_max)):
+        for arg in (x, np.array([1.0 - 0.2j, x])):
+            with pytest.raises(ValueError, match="cut"):
+                alpha(arg, sheet, MODEL)
+
+
+def test_alpha_takes_arrays_on_and_off_the_cut():
+    # one call over cut and off-cut points keeps the shape and gives each
+    # point the scalar call's value
+    z = np.array([[0.3, 1.0 - 0.2j, 25.0], [-1.0, 5.0, 2.0 + 0.5j]])
+    for sheet, pts in (("second", z), ("first", z[z.imag != 0])):
+        got = alpha(pts, sheet, MODEL)
+        want = np.array([alpha(x, sheet, MODEL) for x in pts.ravel()]).reshape(pts.shape)
+        assert got.shape == pts.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_boundary_alpha_is_cut_limit():
     xs = (0.3, 1.0, 5.0)
     lims = np.array([alpha(x + 1e-9j, "first", MODEL) for x in xs])
     for x, lim in zip(xs, lims):
-        assert isinstance(boundary_alpha(x, MODEL), complex)
-        assert abs(boundary_alpha(x, MODEL) - lim) < 1e-7
-    assert np.abs(boundary_alpha(np.array(xs), MODEL) - lims).max() < 1e-7
+        assert isinstance(alpha(x, "second", MODEL), complex)
+        assert abs(alpha(x, "second", MODEL) - lim) < 1e-7
+    assert np.abs(alpha(np.array(xs), "second", MODEL) - lims).max() < 1e-7
     # an array in gives an array of its length, also for lengths 1 and 0
-    one = boundary_alpha(np.array([xs[0]]), MODEL)
+    one = alpha(np.array([xs[0]]), "second", MODEL)
     assert isinstance(one, np.ndarray) and one.shape == (1,)
     assert abs(one[0] - lims[0]) < 1e-7
-    assert boundary_alpha(np.array([]), MODEL).shape == (0,)
+    assert alpha(np.array([]), "second", MODEL).shape == (0,)
 
 
 def test_principal_value_against_closed_form():
@@ -424,7 +442,7 @@ def test_end_weights_integrate_polynomials_below_degree_8(n):
 def _density_by_cut_rule(model, n_points):
     """psi as the 400-node Gauss-Legendre rule of alpha (_cut_integral) gives it."""
     wgrid = (np.arange(n_points) + 0.5) * (model.omega_max / n_points)
-    return wgrid, model.lam ** 2 * model.g2(wgrid) / np.abs(boundary_alpha(wgrid, model)) ** 2
+    return wgrid, model.lam ** 2 * model.g2(wgrid) / np.abs(alpha(wgrid, "second", model)) ** 2
 
 
 @settings(max_examples=4, deadline=None)
@@ -445,7 +463,7 @@ def test_density_matches_its_closed_form(omega1):
         model = FriedrichsModel(omega1=omega1, lam=lam)
         for n_points in (2001, 40001):
             wgrid, psi, _ = spectral_density(model, n_points)
-            exact = lam ** 2 * np.exp(-wgrid) / np.abs(_boundary_alpha_exact(wgrid, model)) ** 2
+            exact = lam ** 2 * np.exp(-wgrid) / np.abs(_cut_alpha_exact(wgrid, model)) ** 2
             assert np.abs(psi / exact - 1.0).max() <= 1e-14
 
 
@@ -715,13 +733,42 @@ def test_factored_oracle_is_as_accurate_as_the_direct_sum():
 @settings(max_examples=40, deadline=None)
 @given(n_points=st.integers(1, 3000), n_t=st.integers(1, 200), t0=st.floats(-350.0, 350.0),
        span=st.floats(1e-3, 350.0))
+# grids with a midpoint on omega1, where sum |psi| dw reaches 8 to 40
+@example(n_points=50, n_t=18, t0=272.0, span=241.0)
+@example(n_points=10, n_t=10, t0=79.0, span=83.0)
+@example(n_points=30, n_t=30, t0=264.0, span=276.0)
 def test_quadrature_matches_direct_sum_on_random_grids(n_points, n_t, t0, span):
+    # The direct sum runs in long double on the route's own lattice,
+    # omega_k = (k + 1/2) dw and t_m = t_0 + m dt, so what is left is the
+    # route's rounding, term k relative to x_k = |psi_k dw|:
+    # - u = dw t_0/(4 pi) and b = dw dt/(4 pi) each take two roundings and
+    #   fl(pi)'s, under 1.2 eps relative; _turns reduces them exactly, so the
+    #   phase omega_k t_m moves by at most 1.2 eps omega_k (|t_0| + |m dt|);
+    # - a _turns value sums four exact fractions, 3 eps of a turn; the input
+    #   phase adds two such values, and the 2 pi scaling, exp and the
+    #   products add a few eps each: under 100 eps over the three factors;
+    # - the three complex FFTs of the Bluestein convolution round each output
+    #   by _FFT_ERR log2(L) eps ||x||_2 ||kernel||_2, the kernel's
+    #   n_points + n_t - 1 entries of modulus 1 (_toeplitz_cauchy's form).
+    # The reference adds its own rounding at long double's eps: the phase
+    # term and n_points of sum x_k.
     wgrid, psi, dw = spectral_density(MODEL, n_points)
     t = t0 + span / max(n_t - 1, 1) * np.arange(n_t)
-    direct = np.exp(-1j * np.outer(t, wgrid)) @ psi * dw
     chirp = survival_amplitude_quadrature(MODEL, t, n_points=n_points)
     assert chirp.shape == (n_t,)
-    assert np.abs(chirp - direct).max() < 1e-12
+    lo, dt = friedrichs._even_grid(t)
+    ld = np.longdouble
+    ph = np.outer(lo + np.arange(n_t, dtype=ld) * dt, (np.arange(n_points, dtype=ld) + 0.5) * dw)
+    wt = psi.astype(ld) * dw
+    direct = (np.cos(ph) @ wt).astype(float) - 1j * (np.sin(ph) @ wt).astype(float)
+    eps, eps_ld = np.finfo(float).eps, np.finfo(ld).eps
+    x = np.abs(psi * dw)
+    phase = 1.2 * (x @ wgrid) * (abs(lo) + abs(dt) * (n_t - 1))
+    size = n_points + n_t - 1
+    fft = friedrichs._FFT_ERR * math.log2(friedrichs._fft_size(size)) * math.sqrt(size)
+    fft *= np.linalg.norm(x)
+    bound = eps * (phase + 100.0 * x.sum() + fft) + eps_ld * (phase + n_points * x.sum())
+    assert np.abs(chirp - direct).max() <= bound
 
 
 def test_fft_size_is_the_next_5_smooth_length():

@@ -5,8 +5,8 @@ from arrowlab.grids import (Density, GridSet, GridMismatchError, Partition,
                             StochasticKernel, TrivialPartitionError,
                             apply_kernel_signed, apply_markov, coarse_grain,
                             coarse_values, density_from_csv, density_to_csv,
-                            interval_set, l1_norm, measure_of_set,
-                            on_common_grid, square_partition, uniform_density)
+                            interval_set, l1_norm, on_common_grid,
+                            square_partition, uniform_density, weak_pairing)
 
 
 def test_density_basic():
@@ -63,8 +63,14 @@ def test_interval_set_and_measure():
     a = interval_set(2, 3, 1, 4)
     assert a.volume() == 3 / 8
     d = uniform_density(2, 3)
-    assert measure_of_set(d, a) == 3 / 8
+    assert weak_pairing(d, a) == 3 / 8
     assert (~a.member).mean() == 5 / 8
+    # a set pairs as its mask, and only with a density of its base
+    d = Density(2, np.arange(1.0, 9.0))
+    assert weak_pairing(d, a) == weak_pairing(d, a.member)
+    assert abs(weak_pairing(d, a) - 9 / 36) < 1e-15
+    with pytest.raises(GridMismatchError, match="base mismatch"):
+        weak_pairing(d, interval_set(4, 1, 1, 3))
 
 
 def test_on_common_grid():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from arrowlab.entropy import gibbs_entropy
 from arrowlab.grids import (Density, GridSet, Partition, coarse_values, interval_set,
-                            l1_norm, measure_of_set, on_common_grid)
+                            l1_norm, on_common_grid)
 from arrowlab.maps import MapSpec
 from arrowlab.transfer import (correlation, fp_baker, fp_renyi, image_measure, image_set,
                                preimage_set, weak_pairing)
@@ -98,7 +98,7 @@ def test_measure_of_set_matches_replicated_reference(case):
     d = random_density(base, ds, rng)
     a = random_set(base, as_, rng)
     dv, am = on_common_grid(d.values, a.member)
-    np.testing.assert_allclose(measure_of_set(d, a), np.where(am, dv, 0.0).mean(),
+    np.testing.assert_allclose(weak_pairing(d, a), np.where(am, dv, 0.0).mean(),
                                rtol=RTOL, atol=0)
 
 
@@ -164,7 +164,7 @@ def test_tiled_baker_image_matches_its_full_array(case, extra):
     close = lambda f: np.testing.assert_allclose(f(out), f(full), rtol=1e-15, atol=0)
     close(lambda x: coarse_values(x, p))
     close(lambda x: weak_pairing(x, g))
-    close(lambda x: measure_of_set(x, a))
+    close(lambda x: weak_pairing(x, a))
     close(l1_norm)
     # H sums terms of both signs, so its error is relative to the integral of |rho ln rho|
     v = out.values

@@ -99,19 +99,21 @@ def cmd_baker_evolve(args, rng):
 
 
 def cmd_renyi_spectral(args, rng):
-    # evolve a polynomial one eigenbasis step at a time and log its basis coefficients
+    # evolve a polynomial by the transfer operator and log its basis coefficients
     # MapSpec rejects a base below 2 even when --t 0 takes no step
     beta = maps.MapSpec("renyi", args.beta).base
+    # the basis table fails first when a basis polynomial is past float range
+    basis = spectral.basis_table(args.nmax)
     p = spectral.reconstruct([Fraction(1)] + [Fraction(1, k + 1)
                                               for k in range(args.nmax)])
-    step = partial(spectral.evolve_spectral, base=beta, t=1)
+    step = partial(spectral.fp_poly, base=beta)
     rows = [(t, *spectral.expand(q, n_max=args.nmax))
             for t, q in enumerate(maps.trajectory(step, p, args.t))]
     gram = spectral.biorthonormality_matrix(args.nmax)
     report = {"max_gram_error": float(np.abs(gram - np.eye(args.nmax + 1)).max()),
               "decay_rate": 1.0 / beta}
     header = "t," + ",".join(f"c{n}" for n in range(args.nmax + 1))
-    return ({"bernoulli_basis.csv": spectral.basis_table(args.nmax),
+    return ({"bernoulli_basis.csv": basis,
              "spectral_evolution.csv": table.to_csv(header, rows),
              "spectral_report.json": json.dumps(report) + "\n"},
             {"biorthonormality gram error": report["max_gram_error"] <= 1e-10})

@@ -25,9 +25,10 @@ far from a root from a series whose coefficients are Toeplitz products,
 one FFT convolution per solve (Dutt, Gu & Rokhlin 1996), so a sweep is
 O(N).  A root stops on these far sums, and takes its weight from them,
 where a bound on their error (_far_error; Higham 2002, ch. 24, for the
-FFT) shows that the stopping test on exact sums holds too; the few roots it
-cannot certify, and the two end roots, take the exact O(N) sums per root
-as banded BLAS matrix-vector products.  The oracle's phase table is factored
+FFT) shows that the stopping test on exact sums holds too and that the
+weight is within 1e-13 of theirs; the few roots it cannot certify, and the
+two end roots, take the exact O(N) sums per root as banded BLAS
+matrix-vector products.  The oracle's phase table is factored
 over the time lattice, so cos and sin run O(sqrt(len(t))) times per
 eigenvalue, in O(N*sqrt(len(t))) memory.  The quadrature sums the spectral
 density on an evenly spaced omega grid; over the t grid that sum is one
@@ -477,13 +478,12 @@ def _secular_roots(a, d, z2, c_norm, field, dw):
     Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  It stops when
     |G| <= 8 eps (|o - a| + y + sum |q|), G = sign*F at its offset.  With a
     field, an interior root iterates on far sums (_far_sums) in O(N) per
-    sweep.  It stops on them when a bound B on their error (_far_error)
-    gives |G| + B <= 8 eps (S - B), S the scale above, which implies the
-    test on exact sums; its weight comes from them when the same bound on
-    the p sums puts it within 1e-13 relative, and from one exact sweep
-    otherwise.  A root
-    whose far sums pass the test without that margin, or whose step on them
-    stops shrinking, goes on with the exact sums, O(N) per root
+    sweep.  It stops on them, and takes its weight from them, only when a
+    bound B on their error (_far_error) gives |G| + B <= 8 eps (S - B), S
+    the scale above, which implies the test on exact sums, and the same
+    bound on the p sums puts the weight within 1e-13 relative of theirs.  A
+    root whose far sums pass the test without those margins, or whose step
+    on them stops shrinking, goes on with the exact sums, O(N) per root
     (_secular_sums), as do the two end roots always and every root without
     a field.  Only exact sums move a root's bracket.  Memory is O(N),
     2 (_FAR_TERMS + 1) N values for the field, plus one chunk of the sums.
@@ -510,7 +510,6 @@ def _secular_roots(a, d, z2, c_norm, field, dw):
         fft_q, fft_p = fft_q / dw, fft_p / dw ** 2
     step = np.full(n + 1, np.inf)  # each root's last step on the far field
     far = np.zeros(n + 1, dtype=bool)  # stopped on far sums
-    redo = np.zeros(n + 1, dtype=bool)  # ... with its weight from an exact sweep
 
     def sweep(act):
         out = np.empty((4, act.size))
@@ -542,10 +541,10 @@ def _secular_roots(a, d, z2, c_norm, field, dw):
             # summed before it
             rest = (q_left - q_right) - z2[j[act] - (s > 0)] / ya
             bound = fft_q + 7.0 * _EPS * np.maximum(rest, 0.0) + 4.0 * _EPS * size
-            stop = ~ex & (np.abs(g) + bound <= 8.0 * _EPS * (size - bound))
             weight_err = fft_p + 17.0 * _EPS * (p_left + p_right)
+            stop = (~ex & (np.abs(g) + bound <= 8.0 * _EPS * (size - bound))
+                    & (weight_err <= 9e-14 * (1.0 + p_left + p_right)))
             far[act[stop]] = True
-            redo[act[stop]] = (weight_err > 9e-14 * (1.0 + p_left + p_right))[stop]
             done |= stop
         root_wt[act[done]] = 1.0 / (1.0 + p_left[done] + p_right[done])
         keep_on = ~done
@@ -577,10 +576,6 @@ def _secular_roots(a, d, z2, c_norm, field, dw):
         sums = sweep(act)
     else:
         raise RuntimeError("secular equation did not converge")
-    r = np.flatnonzero(redo)
-    if r.size:
-        p = _secular_sums(d, z2, origin[r], y[r], sign[r], j[r])
-        root_wt[r] = 1.0 / (1.0 + p[2] + p[3])
     return origin, sign, y, root_wt, far
 
 

@@ -171,15 +171,6 @@ def reconstruct(coeffs) -> Poly:
     return out
 
 
-def evolve_spectral(p: Poly, base: int, t: int) -> Poly:
-    """U^t p via the eigenbasis: c_n -> beta^-nt c_n."""
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return reconstruct([Fraction(c, base ** (n * t)) for n, c in enumerate(expand(p))])
-
-
 def biorthonormality_matrix(n_max: int):
     """Gram matrix (B~_m, B_n); the identity when all is well."""
     if n_max < 0:

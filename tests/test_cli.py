@@ -66,6 +66,8 @@ def test_import_is_light():
     ["entropy-suite", "--n", "8", "--trials", "20000", "--out", "out/"],
     # a base-3 Bernoulli basis under the Gram gate
     ["renyi-spectral", "--beta", "3", "--nmax", "12", "--t", "7", "--out", "out/"],
+    # the Renyi branch of the mixing report
+    ["mixing-report", "--map", "renyi", "--level", "10", "--tmax", "12", "--out", "out/"],
 ], ids=" ".join)
 def test_runs_exit_0_without_warning(tmp_path, argv):
     argv = [str(tmp_path) if a == "out/" else a for a in argv]
@@ -165,10 +167,15 @@ def test_cosmo_gap_artifacts(tmp_path):
     assert abs(roots["t_cr2"] - 970) < 5
 
 
-def test_boost_prints_json(capsys):
+def test_boost_prints_json(tmp_path, capsys):
     assert run(["boost", "--u", "0.6"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    data = json.loads(printed)
     assert data["boosted"]["v"] == pytest.approx(0.8)
+    # with --out the same JSON goes to boost.json, after the config header
+    assert run(["boost", "--u", "0.6", "--out", str(tmp_path)]) == 0
+    body = (tmp_path / "boost.json").read_text().splitlines()
+    assert [ln for ln in body if not ln.startswith("#")] == [printed.strip()]
 
 
 @pytest.mark.parametrize("argv, artifact", [
@@ -236,7 +243,7 @@ def test_header_echoes_config(tmp_path):
 
 def test_config_file_fills_defaults(tmp_path):
     cfg = tmp_path / "cfg"
-    cfg.write_text("level=5\n")
+    cfg.write_text("# comment and blank lines are skipped\n\nlevel=5\n")
     out = tmp_path / "d"
     assert run(["--config", str(cfg), "renyi-evolve", "--t", "3",
                 "--out", str(out)]) == 0
@@ -259,7 +266,7 @@ def test_config_does_not_override_flags(tmp_path):
     assert "# n_modes=200" in head
 
 
-@pytest.mark.parametrize("line", ["func=x", "command=boost", "density=bogus"])
+@pytest.mark.parametrize("line", ["func=x", "command=boost", "density=bogus", "level 5"])
 def test_config_rejects_undeclared_keys_and_values(tmp_path, capsys, line):
     cfg = tmp_path / "cfg"
     cfg.write_text(line + "\n")
@@ -292,13 +299,14 @@ def test_nan_check_fails(tmp_path, monkeypatch, capsys):
     assert err == "arrowlab: numerical invariant failed: biorthonormality gram error\n"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 @pytest.mark.parametrize("argv", [["boost", "--u", "0.6", "--temp="],
                                   ["cosmo-gap", "--omega1="],
                                   ["lambda-lyapunov", "--t-max="],
                                   ["--config", "{cfg}", "dephase"]])
 def test_non_finite_options_exit_1(tmp_path, capsys, argv, value):
-    # `--flag=value`, because argparse reads a bare `-inf` as an option
+    # `--flag=value`, because argparse reads a bare `-inf` as an option; a
+    # value that is not a number reads as NaN
     cfg = tmp_path / "cfg"
     cfg.write_text(f"tmax={value}\n")
     argv = [a.replace("{cfg}", str(cfg)) for a in argv]

@@ -310,6 +310,13 @@ def test_survival_trivial_cases():
     t = np.array([0.0])
     a = survival_amplitude_oracle(MODEL, t, n_modes=400)
     assert abs(abs(a[0]) ** 2 - 1.0) < 1e-12
+    # at lam = 1e-30 every coupling deflates: the level keeps weight 1 at omega1
+    weak = FriedrichsModel(1.0, 1e-30)
+    evals, weights = _arrowhead_spectrum(weak, 400)
+    assert np.array_equal(weights, np.eye(1, 401, 400)[0]) and evals[-1] == 1.0
+    a = survival_amplitude_oracle(weak, [0.0, 5.0, 10.0], n_modes=400)
+    # |e^{-i omega1 t}|^2 = cos^2 + sin^2, each rounded once
+    assert np.abs(np.abs(a) ** 2 - 1.0).max() <= 4.0 * np.finfo(float).eps
 
 
 def test_discretization_shape():
@@ -660,6 +667,66 @@ def test_roots_stopped_on_far_sums_pass_the_exact_test(lam, omega1, n):
     assert np.all(np.abs(g) <= 8.0 * np.finfo(float).eps * (np.abs(o_a) + y[r] + (q_left - q_right)))
     exact_weights = 1.0 / (1.0 + p_left + p_right)
     assert np.all(np.abs(weights[r] - exact_weights) <= 1e-13 * exact_weights)
+
+
+@pytest.mark.parametrize("n", (101, 2000))
+@pytest.mark.parametrize("lam", (0.05, 0.1, 0.15, 0.3, 0.5))
+@pytest.mark.parametrize("omega1", (0.5, 1.0, 2.0, 4.0))
+def test_oracle_spectrum_satisfies_the_moment_sum_rules(omega1, lam, n):
+    # sum_l w_l E_l^k = (H^k)_11 for the arrowhead H = [[a, c^T], [c, diag(w)]]:
+    # 1, a, a^2 + C, a^3 + 2aC + sum c^2 w and (a^2 + C)^2 + sum c^2 (a + w)^2
+    # for k <= 4, C = sum c^2.  The bound is first order in each root's errors,
+    # from what the solve certifies (in band units, S its stopping scale,
+    # P = sum p, w = 1/(1 + P), y the offset from its pole):
+    # - the root: |G| <= 8 eps S on exact sums, so it lies within 8 eps S w of
+    #   the true root; a root that stopped on exact BLAS sums adds their
+    #   rounding, g = (N + 13) u of sum |q| <= S (13 u for forming each term,
+    #   N u for any order of summation, Higham 2002, sec. 4.2); 4 eps y covers
+    #   a bracket that closed instead; l = o + s y rounds by u |l|;
+    # - the weight: within fft_p + 17 eps P of the exact sums' at that offset
+    #   when it comes from far sums (_far_error), within g P on exact sums,
+    #   plus 2 u for 1/(1 + P); moving to the true root changes it by
+    #   |F''/F'| delta <= 2 delta / y relative;
+    # - the sum: w E^k takes k roundings and math.fsum one, u of the total;
+    #   each right-hand side is a sum of positive terms of at most 8 roundings,
+    #   under 9 u of it;
+    # - deflation drops couplings below 8 eps M, M = max(a, w_max, ||c||),
+    #   which moves C by at most N (8 eps M)^2, and each right-hand side by
+    #   that times its slope in C: 1, 2a + w_max, 2(a^2 + C) + (a + w_max)^2.
+    model = FriedrichsModel(omega1=omega1, lam=lam)
+    solved, secular_roots = [], friedrichs._secular_roots
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(friedrichs, "_secular_roots",
+                   lambda *args: solved.append((args, secular_roots(*args))) or solved[-1][1])
+        evals, weights = _solve_arrowhead(model, n)
+    (a, d, z2, _, _, dw), (origin, sign, y, root_wt, far) = solved[0]
+    eps = np.finfo(float).eps
+    u = eps / 2.0
+    q_left, q_right, p_left, p_right = _secular_sums(d, z2, origin, y, sign, np.arange(y.size))
+    size, p = np.abs(origin - a) + y + (q_left - q_right), p_left + p_right
+    g = (d.size + 13) * u
+    fft_p = friedrichs._far_error(z2)[1] / dw ** 2
+    delta = np.where(far, 8.0 * eps, 8.0 * eps + g) * size * root_wt + 4.0 * eps * y
+    rho = np.zeros(evals.size)
+    rho[-y.size:] = (np.where(far, fft_p + 17.0 * eps * p, g * p) / (1.0 + p) + 2.0 * u
+                     + 2.0 * delta / y)
+    err_e = u * np.abs(evals)
+    err_e[-y.size:] += delta * (omega1 / a)  # back from band units
+    w, c = friedrichs._mode_grid(model, n)
+    c2 = c ** 2
+    cc = math.fsum(c2)
+    m2 = omega1 * omega1 + cc
+    rhs = [1.0, omega1, m2, omega1 * omega1 * omega1 + 2.0 * omega1 * cc + math.fsum(c2 * w),
+           m2 * m2 + math.fsum(c2 * (omega1 + w) ** 2)]
+    dropped = n * (8.0 * eps * max(omega1, w[-1], math.sqrt(cc))) ** 2
+    d_rhs = [0.0, 0.0, 1.0, 2.0 * omega1 + w[-1], 2.0 * m2 + (omega1 + w[-1]) ** 2]
+    term, prev = weights, np.zeros(evals.size)
+    for k in range(5):
+        lhs = math.fsum(term)
+        bound = (float(np.abs(term) @ (rho + k * u)) + k * float(np.abs(prev) @ err_e)
+                 + u * abs(lhs) + 9.0 * u * rhs[k] + d_rhs[k] * dropped)
+        assert abs(lhs - rhs[k]) <= bound, k
+        term, prev = term * evals, term
 
 
 @pytest.mark.parametrize("omega1, lam", [(1e-140, 1e-80), (1e-100, 1e-60), (1e-100, 1e-50)])

@@ -242,13 +242,9 @@ def find_pole(model: FriedrichsModel) -> ResonancePole:
                 if abs(f) < _POLE_TOL:
                     break
                 fp = (alpha(z + h, "second", model) - alpha(z - h, "second", model)) / (2 * h)
-                step = f / fp
-                z = z - step
+                z = z - f / fp
                 if not (cmath.isfinite(fp) and cmath.isfinite(z)):
                     raise FloatingPointError
-                if abs(step) < _POLE_TOL:
-                    f = alpha(z, "second", model)
-                    break
             else:
                 raise FloatingPointError
     except ArithmeticError:  # too many steps, fp = 0, a value past float range

@@ -10,9 +10,9 @@ Two grids of one base are nested axis by axis, so the one linear pairing
 integral(u*g) (`weak_pairing`) is taken on the coarser size of each axis: the
 finer operand is block-averaged there, which is exact because the other
 factor is constant on every block.  Arrays are replicated onto the common
-refinement (`on_common_grid`) only where a value per fine cell is needed:
-nonlinear functionals (conditional entropy), the disjointness check of a
-`Partition`, and the output grid of `coarse_grain`.
+refinement (`on_common_grid`) only where a nonlinear functional needs a
+value per fine cell (conditional entropy).  A `Partition` is one integer
+label per cell of its cells' least common grid.
 """
 
 from __future__ import annotations
@@ -223,23 +223,23 @@ def _reduce_to(arr: np.ndarray, shape, tiles: int = 1) -> np.ndarray:
     times along its last axis.
 
     A block that spans whole periods has the period's mean; smaller blocks
-    are the period's own block means, tiled.  The one reshape-mean reads
-    `arr` in place, and `arr` itself is returned when it is already `shape`.
+    are the period's own block means, tiled: one in-place reshape-sum divided
+    by the block size, as `mean` does.  `arr` itself is returned if it is `shape`.
     """
     per = max(shape[-1] // tiles, 1)  # cells of `shape` per period
     pshape = (*shape[:-1], per)
     if arr.shape != pshape:
         blocks = [k for n, m in zip(arr.shape, pshape) for k in (m, n // m)]
-        arr = arr.reshape(blocks).mean(axis=tuple(range(1, 2 * arr.ndim, 2)))
+        size = arr.size // math.prod(pshape)
+        arr = arr.reshape(blocks).sum(axis=tuple(range(1, 2 * arr.ndim, 2)), dtype=float) / size
     return _tile_last(arr, shape[-1] // per)
 
 
 def on_common_grid(a: np.ndarray, b: np.ndarray):
     """Replicate both arrays onto their least common refinement.
 
-    Only for what needs a value per fine cell: a nonlinear functional of
-    both arrays, a cell-by-cell set check, or a result that lives on the
-    finer grid.  Linear pairings use `weak_pairing`, which allocates nothing
+    Only for a nonlinear functional of both arrays, which needs a value per
+    fine cell.  Linear pairings use `weak_pairing`, which allocates nothing
     of the fine grid's size.
     """
     _nested(a.shape, b.shape)
@@ -309,72 +309,73 @@ def apply_kernel_signed(k: StochasticKernel, values: np.ndarray) -> np.ndarray:
     return k.matrix @ values
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Partition:
-    """Disjoint grid sets covering the space, all with positive measure."""
+    """Disjoint grid sets of one base covering the space, each of positive
+    measure, as one read-only label per cell of their least common grid."""
 
-    cells: tuple
+    base: int
+    labels: np.ndarray
 
-    def __post_init__(self):
-        cells = tuple(self.cells)
+    def __init__(self, cells):
+        cells = tuple(cells)
         if len(cells) < 2:
             raise TrivialPartitionError("partition needs at least two cells")
-        ms = [c.member for c in cells]
-        # count cover on the least common grid of all the cells
-        count = np.zeros(tuple(map(max, *(m.shape for m in ms))), dtype=int)
-        for m in ms:
-            if not m.any():
+        shape = tuple(map(max, *(c.shape for c in cells)))
+        labels = np.full(shape, -1, dtype=np.intp)
+        covered = 0  # disjoint cover: nothing left at -1, the counts add up
+        for i, c in enumerate(cells):
+            if c.base != cells[0].base:
+                raise GridMismatchError("base mismatch")
+            if not c.member.any():
                 raise TrivialPartitionError("partition cell has zero measure")
-            count += on_common_grid(m, count)[0]
-        if np.any(count != 1):
+            _nested(c.shape, shape)
+            labels[_refine_to(c.member, shape)] = i
+            covered += int(c.member.sum()) * (labels.size // c.member.size)
+        if covered != labels.size or labels.min() < 0:
             raise ValueError("partition cells must be disjoint and cover the space")
-        object.__setattr__(self, "cells", cells)
+        self._set(cells[0].base, labels)
+
+    def _set(self, base: int, labels: np.ndarray) -> "Partition":
+        labels.setflags(write=False)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "labels", labels)
+        return self
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([c.volume() for c in self.cells])
+        return np.bincount(self.labels.ravel()) / self.labels.size
 
 
 def square_partition(base: int, level: int, dims: int = 1) -> Partition:
-    """The full beta-adic grid of the given level as a partition."""
+    """The full beta-adic grid of the given level as a partition (C order)."""
     shape = (base ** level,) * dims
-    cells = []
-    for idx in np.ndindex(shape):
-        m = np.zeros(shape, dtype=bool)
-        m[idx] = True
-        cells.append(GridSet(base, m))
-    return Partition(tuple(cells))
+    if math.prod(shape) < 2:
+        raise TrivialPartitionError("partition needs at least two cells")
+    labels = np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
+    return object.__new__(Partition)._set(base, labels)
 
 
 def coarse_grain(d: Density, p: Partition) -> Density:
     """Project the density onto its per-cell averages (idempotent).
 
-    The result lives on the least common grid of the density and the cells.
+    The result lives on the least common grid of the density and the labels.
     """
-    out = d.values
-    for c, avg in zip(p.cells, coarse_values(d, p)):
-        out, mm = on_common_grid(out, c.member)
-        out = np.where(mm, avg, out)
-    return Density(d.base, out, normalize=False)
+    return Density(d.base, coarse_values(d, p)[_refine_to(p.labels, d.shape)], normalize=False)
 
 
 def coarse_values(d: Density, p: Partition) -> np.ndarray:
     """Per-partition-cell averages of the density.
 
-    The density is reduced once per distinct cell grid, onto the coarser size
-    of each axis; a cell's mask is reduced there too (to the fraction of each
-    block it covers) where it is finer than the density.
+    The density is reduced once, onto the coarser size of each axis of its
+    grid and the label grid; each cell's indicator is reduced there too (to
+    the fraction of each block it covers) where the labels are finer.
     """
-    reduced = {}
-    vals = []
-    for c in p.cells:
-        mm = c.member
-        if mm.shape not in reduced:
-            reduced[mm.shape] = d._on_coarser(mm.shape)
-        dv = reduced[mm.shape]
-        w = _reduce_to(mm, dv.shape)
-        vals.append((dv * w).sum() / w.sum())
-    return np.array(vals)
+    if d.base != p.base:
+        raise GridMismatchError("base mismatch")
+    dv = d._on_coarser(p.labels.shape)
+    masks = (_reduce_to(p.labels == i, dv.shape) for i in range(p.labels.max() + 1))
+    return np.array([(dv * w).sum() / w.sum() for w in masks])
 
 
 def density_to_csv(d: Density) -> str:

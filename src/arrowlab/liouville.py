@@ -149,6 +149,8 @@ def dephase_cesaro(rho0, spectrum, obs, big_t: float):
         raise ValueError("spectrum length and observable must match the matrix dimension")
     if w.size == 0:
         raise ValueError("spectrum must not be empty")
+    if big_t <= 0:
+        raise ValueError("T must be positive")
     if not np.isfinite(float(big_t) * float(np.ptp(w))):  # Python floats: inf, no warning
         raise ValueError("the largest phase T * max|w_i - w_j| must be finite")
     x = (w[:, None] - w[None, :]) * (0.5 * big_t / _CESARO_STEPS)

@@ -391,6 +391,8 @@ def test_basis_past_float_range_exits_1_with_one_line(tmp_path, capsys):
                                   ["cosmo-gap", "--gamma-t0", "1e-300"],
                                   ["cosmo-gap", "--t0-temp", "1e-300"],
                                   ["dephase", "--n", "6", "--tmax", "1e308"],
+                                  ["dephase", "--tmax", "0"],
+                                  ["dephase", "--tmax=-5"],
                                   ["entropy-suite", "--n", "0"],
                                   ["entropy-suite", "--trials", "0"],
                                   ["lambda-lyapunov", "--t-max=-1"],

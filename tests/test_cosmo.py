@@ -74,6 +74,8 @@ def test_first_law_covariance():
         dq = np.sqrt(1 - u * u) * dq0
         dw = boost_work(dw0, d_enth0, u)
         assert abs(de - (dq - dw)) < 1e-12
+    with pytest.raises(ValueError, match="speed must satisfy 0 <= u < 1"):
+        boost_work(dw0, d_enth0, 1.0)
 
 
 def test_radiation_temperature():
@@ -97,6 +99,8 @@ def test_entropy_gap_values_and_limits():
     assert entropy_gap(1e8, P) < 1e-300 or entropy_gap(1e8, P) < entropy_gap(1e4, P)
     with pytest.raises(ValueError):
         entropy_gap(0.0, P)
+    with pytest.raises(ValueError, match="t must be positive"):
+        entropy_gap_rate(np.array([1.0, 0.0]), P)
 
 
 def test_entropy_gap_overflow_raises():

@@ -68,6 +68,12 @@ def test_canonical_density_degenerate_and_range_errors():
     assert np.allclose(d.values, 1.0)
     with pytest.raises(ValueError):
         canonical_density(np.arange(8.0), 9.0)
+    # alpha spread over 1e-300 moves no mean for any |nu| <= 1e8
+    for target in (0.9e-300, 0.1e-300):
+        with pytest.raises(ValueError, match="failed to bracket nu"):
+            canonical_density(np.array([0.0, 1e-300]), target)
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        canonical_density_from_temperature(np.arange(8.0), 0.0)
 
 
 def test_canonical_maximizes_constrained_entropy():
@@ -148,6 +154,8 @@ def test_entropy_gap_quadratic_values():
     assert abs(got + eps ** 2 / 24) < 1e-6
     with pytest.raises(ValueError):
         entropy_gap_quadratic(u, np.ones(n), 0.0, 0.0)
+    with pytest.raises(ValueError, match="reference density has empty cells"):
+        entropy_gap_quadratic(Density(2, [0.0, 2.0], normalize=False), np.zeros(2), 0.0, 0.0)
 
 
 def test_entropy_gap_quadratic_matches_exact():
@@ -173,6 +181,9 @@ def test_gibbs_energy_relation_identity():
         assert abs(ds - (dh - de / temp)) < 1e-10
     ds, dh, de = gibbs_energy_relation(can, can, omega, temp)
     assert ds == dh == de == 0.0
+    # e^{-1e4} underflows, so the reference has an empty cell where the state has mass
+    with pytest.raises(ValueError, match="state unsupported by the canonical reference"):
+        gibbs_energy_relation(uniform_density(2, 1), uniform_density(2, 1), [0.0, 1e4], 1.0)
 
 
 def test_hc_vec_on_a_stack_matches_each_pair():

@@ -281,8 +281,7 @@ def _stand_in_alpha(first, off, calls):
 
 
 def test_find_pole_stops_on_a_non_finite_difference_quotient(monkeypatch):
-    # the quotient 2e303 / 2e-6 overflows to inf, and its step 1/inf = 0
-    # must not pass for convergence
+    # the quotient 2e303 / 2e-6 overflows to inf, which stops the search at once
     calls = []
     monkeypatch.setattr(friedrichs, "alpha", _stand_in_alpha(1.0, 1e303, calls))
     with pytest.raises(RuntimeError, match="pole search did not converge"):
@@ -297,6 +296,13 @@ def test_find_pole_stops_on_a_non_finite_iterate(monkeypatch):
     with pytest.raises(RuntimeError, match="pole search did not converge"):
         find_pole(MODEL)
     assert len(calls) == 3
+
+
+def test_secular_solve_reports_a_search_past_its_iteration_cap(monkeypatch):
+    # one sweep settles some roots but not all 2001
+    monkeypatch.setattr(friedrichs, "_SECULAR_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="secular equation did not converge"):
+        _solve_arrowhead(FriedrichsModel(omega1=1.0, lam=0.12), 2000)
 
 
 def test_spectral_density_normalized():
@@ -1067,6 +1073,8 @@ def test_invalid_sizes_and_grids_rejected():
         discretize(MODEL, 0)
     with pytest.raises(ValueError):
         spectral_density(MODEL, 0)
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        survival_probability(MODEL, [-1.0, 0.0])
 
 
 @pytest.mark.parametrize("route, size", [(survival_amplitude_oracle, 50),
@@ -1178,6 +1186,9 @@ def test_thermal_many_mode():
     assert np.array_equal(flat["state"], flat["star"])
     with pytest.raises(ValueError):
         thermal_many_mode(-1.0, 0.05, lambda x: x, t=0.0)
+    # the first grid point, 1.25e4 T, underflows e^{-omega/T} and every point past it
+    with pytest.raises(ValueError, match="equilibrium weights not normalizable"):
+        thermal_many_mode(1.0, 0.05, lambda x: x, t=0.0, omega_max=1e8)
 
 
 def test_damping_matrix():
@@ -1200,6 +1211,8 @@ def test_lambda_lyapunov_monotone_and_limits():
     assert y[-1] < 1e-3  # no undamped support -> decays to zero
     y0 = lambda_lyapunov([2.0 + 0j], np.array([[1.0]]), t)
     assert np.ptp(y0) == 0.0
+    with pytest.raises(ValueError, match="state dimension must match the spectrum"):
+        lambda_lyapunov(z, np.eye(3), t)
 
 
 def test_lambda_lyapunov_reads_any_time_grid_flat():

@@ -27,6 +27,12 @@ def test_density_rejects_negative_and_bad_size():
         Density(2, np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         Density(2, np.ones(6))
+    with pytest.raises(ValueError, match="base must be >= 2"):
+        Density(1, np.ones(1))
+    with pytest.raises(ValueError, match="values must be 1D or 2D"):
+        Density(2, np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="cannot normalize an all-zero density"):
+        Density(2, np.zeros(4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -57,6 +63,8 @@ def test_marginal_x():
     m = d.marginal_x()
     assert m.values.shape == (4,)
     assert abs(m.values.mean() - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="marginal_x needs a 2D density"):
+        m.marginal_x()
 
 
 def test_interval_set_and_measure():
@@ -79,13 +87,17 @@ def test_on_common_grid():
     ra, rb = on_common_grid(a, b)
     assert ra.shape == rb.shape == (8,)
     assert np.all(ra[:2] == 0.0)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(GridMismatchError, match="dimension mismatch"):
         on_common_grid(np.ones(4), np.ones((4, 4)))
+    with pytest.raises(GridMismatchError, match="incompatible grid sizes 4 vs 6"):
+        on_common_grid(np.ones(4), np.ones(6))
 
 
 def test_stochastic_kernel_validation():
     with pytest.raises(ValueError):
         StochasticKernel(np.ones((3, 3)))
+    with pytest.raises(ValueError, match="kernel entries must be non-negative"):
+        StochasticKernel(np.array([[1.5, 0.5], [-0.5, 0.5]]))
     k = StochasticKernel(np.full((4, 4), 0.25))
     d = Density(2, np.array([2.0, 1.0, 0.5, 0.5]))
     out = apply_markov(k, d)
@@ -115,12 +127,54 @@ def test_kernel_contracts_signed_functions():
 
 
 def test_partition_validation():
-    with pytest.raises(TrivialPartitionError):
+    with pytest.raises(TrivialPartitionError, match="at least two cells"):
         Partition((interval_set(2, 1, 0, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(TrivialPartitionError, match="at least two cells"):
+        square_partition(2, 0)
+    with pytest.raises(TrivialPartitionError, match="zero measure"):
+        Partition((interval_set(2, 1, 0, 2), interval_set(2, 1, 1, 1)))
+    cover = "partition cells must be disjoint and cover the space"
+    with pytest.raises(ValueError, match=cover):
         Partition((interval_set(2, 1, 0, 1), interval_set(2, 1, 0, 1)))
+    # an overlap alone labels every fine cell, and the counts add up to 5 of 4
+    with pytest.raises(ValueError, match=cover):
+        Partition((interval_set(2, 1, 0, 2), interval_set(2, 2, 0, 1)))
+    # an overlap and a gap of equal size: the counts add up, one cell stays unlabelled
+    with pytest.raises(ValueError, match=cover):
+        Partition((interval_set(2, 2, 0, 2), interval_set(2, 2, 1, 3)))
+    with pytest.raises(ValueError, match=cover):
+        Partition((interval_set(2, 2, 0, 1), interval_set(2, 1, 1, 2)))
+    with pytest.raises(GridMismatchError, match="dimension mismatch"):
+        Partition((interval_set(2, 1, 0, 1), GridSet(2, np.ones((2, 2), dtype=bool))))
     p = square_partition(2, 1)
     assert np.allclose(p.weights, [0.5, 0.5])
+
+
+def test_partition_labels_its_cells_on_their_least_common_grid():
+    # cells at levels 1 and 2: labels live at level 2, cell i where labels == i
+    p = Partition((interval_set(2, 2, 2, 4), interval_set(2, 1, 0, 1)))
+    assert p.base == 2 and p.labels.dtype == np.intp
+    assert p.labels.tolist() == [1, 1, 0, 0]
+    assert p.weights.tolist() == [0.5, 0.5]
+    with pytest.raises(ValueError, match="read-only"):
+        p.labels[0] = 0
+    q = square_partition(3, 1, 2)
+    assert q.labels.tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert np.array_equal(q.weights, np.full(9, 1 / 9))
+    # a density coarser than the labels: its projection lives on the label grid
+    d = Density(2, [1.0, 3.0])
+    assert coarse_values(d, p).tolist() == [1.5, 0.5]
+    assert coarse_grain(d, p).values.tolist() == [0.5, 0.5, 1.5, 1.5]
+
+
+def test_partition_and_density_share_one_base():
+    halves = (GridSet(2, np.arange(8) < 4), GridSet(2, np.arange(8) >= 4))
+    with pytest.raises(GridMismatchError, match="base mismatch"):
+        Partition((halves[0], GridSet(4, np.arange(4) >= 2)))
+    p, d = Partition(halves), Density(4, [1.0, 2.0, 3.0, 4.0])
+    for project in (coarse_values, coarse_grain):
+        with pytest.raises(GridMismatchError, match="base mismatch"):
+            project(d, p)
 
 
 @pytest.mark.parametrize("make", [lambda: Density(2, np.ones(4)),

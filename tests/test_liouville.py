@@ -36,6 +36,8 @@ def test_super_product_acts_as_sandwich():
     assert np.allclose(super_apply(super_product(np.eye(3), np.eye(3)), g), g)
     assert np.allclose(super_apply(super_product(np.eye(3), b), g), g @ b,
                        atol=1e-12)
+    with pytest.raises(ValueError, match="factors must share a dimension"):
+        super_product(np.eye(2), np.eye(3))
 
 
 def test_super_product_composition_rule():
@@ -167,6 +169,12 @@ def test_check_density_matrix():
         check_density_matrix(r * 2)
     with pytest.raises(ValueError):
         check_density_matrix(cmat())
+    with pytest.raises(ValueError, match="rho must be square"):
+        check_density_matrix(np.ones((2, 3)) / 2)
+    with pytest.raises(ValueError, match=r"rho larger than the dense cap \(16\)"):
+        check_density_matrix(np.eye(17) / 17)
+    with pytest.raises(ValueError, match="density matrix diagonal must be non-negative"):
+        check_density_matrix(np.diag([1.5, -0.5]))
 
 
 def test_dephase_against_matrix_exponential():
@@ -283,6 +291,11 @@ def test_dephase_cesaro_rejects_bad_input():
         dephase_cesaro(r, [0.0, 1.0, 2.0], np.eye(2), 10.0)
     with pytest.raises(ValueError, match="spectrum must not be empty"):
         dephase_cesaro(np.zeros((0, 0)), [], np.zeros((0, 0)), 10.0)
+    for big_t in (0.0, -5.0):
+        with pytest.raises(ValueError, match="T must be positive"):
+            dephase_cesaro(r, [0.0, 1.0, 2.0], np.eye(3), big_t)
+    with pytest.raises(ValueError, match="spectrum length must match matrix dimension"):
+        dephase_evolution(r, [0.0, 1.0], 1.0)
 
 
 def test_wigner_gaussian_ground_state():
@@ -296,6 +309,8 @@ def test_wigner_gaussian_ground_state():
     exact = np.exp(-q[:, None] ** 2 - p[None, :] ** 2) / np.pi
     assert np.abs(rw.real - exact).max() < 1e-3
     assert np.abs(rw.imag).max() < 1e-10
+    with pytest.raises(ValueError, match="rho must match the position grid"):
+        wigner_transform(rho[1:, 1:], q, p)
 
 
 def test_wigner_trace_and_pairing_identities():

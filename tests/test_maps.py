@@ -23,6 +23,8 @@ def test_baker_inverts():
         q = baker_step(p, 2)
         assert baker_inverse_step(q, 2) == p
         p = q
+    with pytest.raises(ValueError, match="point must lie in the unit square"):
+        baker_step((Fraction(1, 2), Fraction(1)), 2)
 
 
 def test_factor_projection_commutes():
@@ -105,6 +107,8 @@ def test_recurrence_rejects_cells_off_the_level_grid(kind, cells, level):
 def test_recurrence_rejects_no_samples():
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
         recurrence_stats(MapSpec("renyi", 2), np.array([True, False]), 1, n_samples=0, max_t=3)
+    with pytest.raises(ValueError, match="recurrence set is empty"):
+        recurrence_stats(MapSpec("renyi", 2), np.array([False, False]), 1, n_samples=5, max_t=3)
 
 
 def test_recurrence_rejects_a_negative_horizon():

@@ -15,8 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrowlab.entropy import gibbs_entropy
-from arrowlab.grids import (Density, GridSet, Partition, coarse_values, interval_set,
-                            l1_norm, on_common_grid)
+from arrowlab.grids import (Density, GridSet, Partition, coarse_grain, coarse_values,
+                            interval_set, l1_norm, on_common_grid, square_partition)
 from arrowlab.maps import MapSpec
 from arrowlab.transfer import (correlation, fp_baker, fp_renyi, image_measure, image_set,
                                preimage_set, weak_pairing)
@@ -49,7 +49,7 @@ def random_set(base, shape, rng):
 
 def random_partition(base, shape, rng):
     """A random labelling of the grid; some cells are then refined, so the
-    partition mixes cell grids."""
+    partition mixes cell grids.  Returns the partition and its cells."""
     size = int(np.prod(shape))
     if size < 2:
         shape = (base,) + tuple(shape[1:])
@@ -64,7 +64,7 @@ def random_partition(base, shape, rng):
         if rng.random() < 0.5:
             c = c.refined(axis=int(rng.integers(len(shape))), extra_levels=int(rng.integers(1, 3)))
         cells.append(c)
-    return Partition(tuple(cells))
+    return Partition(tuple(cells)), cells
 
 
 def _baker_scatter(v, b):
@@ -83,12 +83,18 @@ def _baker_scatter(v, b):
 def test_coarse_values_matches_replicated_reference(case):
     base, (ds, ps), rng = case
     d = random_density(base, ds, rng)
-    p = random_partition(base, ps, rng)
+    p, cells = random_partition(base, ps, rng)
     ref = []
-    for c in p.cells:
+    for c in cells:
         dv, mm = on_common_grid(d.values, c.member)
         ref.append(dv[mm].mean())
-    np.testing.assert_allclose(coarse_values(d, p), ref, rtol=RTOL, atol=0)
+    vals = coarse_values(d, p)
+    np.testing.assert_allclose(vals, ref, rtol=RTOL, atol=0)
+    # the projection puts each cell's average on every fine cell of that cell
+    out = coarse_grain(d, p).values
+    for c, v in zip(cells, vals):
+        got, mm = on_common_grid(out, c.member)
+        assert np.all(got[mm] == v)
 
 
 @SETTINGS
@@ -160,7 +166,7 @@ def test_tiled_baker_image_matches_its_full_array(case, extra):
     assert np.array_equal(out.values, np.tile(out._period, (1, out._tiles)))
     full = Density(base, out.values, normalize=False)
     assert full.shape == out.shape and full.levels == out.levels
-    p, a, g = random_partition(base, os_, rng), random_set(base, os_, rng), rng.random(os_)
+    (p, _), a, g = random_partition(base, os_, rng), random_set(base, os_, rng), rng.random(os_)
     close = lambda f: np.testing.assert_allclose(f(out), f(full), rtol=1e-15, atol=0)
     close(lambda x: coarse_values(x, p))
     close(lambda x: weak_pairing(x, g))
@@ -290,3 +296,15 @@ def test_coarse_values_does_not_copy_the_state(shape):
     finally:
         tracemalloc.stop()
     assert peak < d.values.nbytes / 4
+
+
+def test_square_partition_holds_one_label_per_cell():
+    # 4096 labels of 8 bytes; one full-size mask per cell would take 4096 * 4096 bytes
+    tracemalloc.start()
+    try:
+        p = square_partition(2, 6, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(p.labels.ravel(), np.arange(4096))
+    assert peak < 64 * 1024

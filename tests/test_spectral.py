@@ -124,6 +124,8 @@ def test_negative_n_max_rejected():
         expand(bernoulli_poly(2), -1)
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         biorthonormality_matrix(-1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        bernoulli_poly(-1)
 
 
 def test_expand_reconstruct_roundtrip():

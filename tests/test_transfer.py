@@ -208,6 +208,17 @@ def test_fp_renyi_level_zero_raises():
         fp_renyi(Density(2, np.ones(1), normalize=False))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: fp_renyi(Density(2, np.ones((2, 2)))), "fp_renyi needs a 1D density"),
+    (lambda: fp_baker(smooth_density(2)), "fp_baker needs a 2D density"),
+    (lambda: cesaro_average(RENYI, smooth_density(3), np.ones(8), 0), "T must be >= 1"),
+    (lambda: convergence_report(RENYI, smooth_density(3), [np.ones(8)], 3), "t_max must be >= 4"),
+], ids=["fp_renyi", "fp_baker", "cesaro_average", "convergence_report"])
+def test_input_checks_name_the_bad_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda a, t: image_measure(RENYI, a, t),
     lambda a, t: counterimage_measure(RENYI, a, t),
